@@ -7,10 +7,6 @@ learning framework. Submodules:
 - layers: conv/norm/attention building blocks
 - spt: the successive permuted transformer (global stream)
 - model: fusion blocks, classifier head, checkpoints
-- agedist: label-distribution targets and the combined loss
-- training: Adam, schedules, augmentation, metrics, the fit loop
-- dataset: synthetic phantom volumes, container files, manifests
-- cli: command-line workflows
 """
 
 __version__ = "0.1.0"

@@ -1,8 +1,4 @@
-"""Shared exception taxonomy.
-
-The CLI maps these onto exit codes: configuration/usage problems exit 1,
-runtime/numeric failures exit 2.
-"""
+"""Shared exception taxonomy."""
 
 
 class DimensionError(ValueError):

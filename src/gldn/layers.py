@@ -1,8 +1,11 @@
 """Neural-network layers for both streams: 3D conv stack and transformer parts.
 
 Convolution and pooling are fused primitives with hand-written backward rules
-(the hot path); normalization, attention and the encoder layer are composed
-from tensor primitives so their gradients come for free.
+(the hot path). The 3x3x3 convolution is lowered to GEMMs over depth slabs:
+im2col for the forward pass and dW, col2im for dX, all through one tap-view
+helper, with each slab's column buffer held under a fixed byte bound.
+Normalization, attention and the encoder layer are composed from tensor
+primitives so their gradients come for free.
 """
 
 from __future__ import annotations
@@ -81,12 +84,51 @@ class EncoderLayerParams:
 
 # -- convolutional stream ------------------------------------------------------
 
+# Upper bound on one depth slab's column buffer (see conv3d).
+_COLS_BYTES = 8 << 20
+
+
+def _slabs(x: np.ndarray) -> list[tuple[int, int]]:
+    """Output depth ranges [d0, d1) whose column buffers fit in _COLS_BYTES.
+
+    A slab holds at least one depth plane, so only a plane larger than the
+    bound on its own exceeds it.
+    """
+    B, c_in, D, H, W = x.shape
+    step = max(1, _COLS_BYTES // (27 * c_in * B * H * W * x.itemsize))
+    return [(d0, min(d0 + step, D)) for d0 in range(0, D, step)]
+
+
+def _taps(a: np.ndarray, d0: int, d1: int) -> list[np.ndarray]:
+    """The 27 shifted [B, C, d1-d0, H, W] views of padded `a` that output
+    depths [d0, d1) read, in kernel (i, j, k) order. Writing through them
+    scatters back into `a`."""
+    H, W = a.shape[3] - 2, a.shape[4] - 2
+    return [
+        a[:, :, d0 + i : d1 + i, j : j + H, k : k + W] for i, j, k in product(range(3), repeat=3)
+    ]
+
+
+def _cols(xp: np.ndarray, d0: int, d1: int) -> np.ndarray:
+    """im2col of one slab: [C_in*27, B*d*H*W], rows in the weight's (c, i, j, k) order."""
+    views = _taps(xp, d0, d1)
+    B, c_in = xp.shape[:2]
+    cols = np.empty((c_in, 27, B) + views[0].shape[2:], dtype=xp.dtype)
+    for t, view in enumerate(views):
+        cols[:, t] = view.transpose(1, 0, 2, 3, 4)
+    return cols.reshape(c_in * 27, -1)
+
 
 def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     """Cross-correlation with zero padding 1 and stride 1.
 
-    Implemented as 27 shifted tensordot accumulations so the contraction runs
-    through BLAS instead of python loops over voxels.
+    Lowered to one GEMM per output depth slab: the slab's 27 shifted input
+    views are unfolded into a column matrix (im2col) and multiplied by the
+    [C_out, C_in*27] kernel. Backward walks the same slabs: dW is the output
+    gradient times the columns, and dX folds W^T times the gradient back
+    through the same tap views of the padded gradient (col2im). The columns
+    of a whole volume would take 27x the input's memory; slabs hold that
+    transient under _COLS_BYTES so it stays small next to the activations.
     """
     if x.ndim != 5:
         raise DimensionError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
@@ -100,25 +142,26 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
         )
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-    wd = p.weight.data
-    acc = np.zeros((c_out, B, D, H, W), dtype=x.data.dtype)
-    for i, j, k in product(range(3), range(3), range(3)):
-        view = xp[:, :, i : i + D, j : j + H, k : k + W]
-        acc += np.tensordot(wd[:, :, i, j, k], view, axes=(1, 1))
-    out_data = np.ascontiguousarray(acc.transpose(1, 0, 2, 3, 4))
-    out_data += p.bias.data.reshape(1, -1, 1, 1, 1)
+    wm = p.weight.data.reshape(c_out, c_in * 27)
+    bias = p.bias.data.reshape(1, -1, 1, 1, 1)
+    slabs = _slabs(x.data)
+    out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
+    for d0, d1 in slabs:
+        y = (wm @ _cols(xp, d0, d1)).reshape(c_out, B, d1 - d0, H, W)
+        np.add(y.transpose(1, 0, 2, 3, 4), bias, out=out_data[:, :, d0:d1])
 
     def bwd(g):
-        dw = np.zeros_like(wd)
+        dw = np.zeros_like(wm)
         dxp = np.zeros_like(xp)
-        for i, j, k in product(range(3), range(3), range(3)):
-            view = xp[:, :, i : i + D, j : j + H, k : k + W]
-            dw[:, :, i, j, k] = np.tensordot(g, view, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-            spread = np.tensordot(wd[:, :, i, j, k], g, axes=(0, 1))  # [C_in,B,D,H,W]
-            dxp[:, :, i : i + D, j : j + H, k : k + W] += spread.transpose(1, 0, 2, 3, 4)
+        for d0, d1 in slabs:
+            gs = g[:, :, d0:d1].transpose(1, 0, 2, 3, 4).reshape(c_out, -1)
+            dw += gs @ _cols(xp, d0, d1).T
+            dcols = (wm.T @ gs).reshape(c_in, 27, B, d1 - d0, H, W)
+            for t, view in enumerate(_taps(dxp, d0, d1)):
+                view += dcols[:, t].transpose(1, 0, 2, 3, 4)
         dx = np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1, 1:-1])
         db = g.sum(axis=(0, 2, 3, 4))
-        return dx, dw, db
+        return dx, dw.reshape(p.weight.shape), db
 
     return apply_op(out_data, (x, p.weight, p.bias), bwd)
 

@@ -463,7 +463,12 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         pos += 4
         if name_len == 0 or name_len > 4096 or pos + name_len > len(blob):
             raise FormatError(f"bad record name length {name_len}", offset=start)
-        name = blob[pos : pos + name_len].decode("utf-8")
+        try:
+            name = blob[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("record name is not UTF-8", offset=start) from None
+        if name in arrays:
+            raise FormatError(f"duplicate record {name}", offset=start)
         pos += name_len
         if pos + 4 > len(blob):
             raise FormatError(f"truncated rank field for {name}", offset=pos)
@@ -483,7 +488,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         nbytes = 4 * count
         if pos + nbytes > len(blob):
             raise FormatError(f"truncated payload for {name}", offset=pos)
-        arrays[name] = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(extents).copy()
+        arr = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(extents).copy()
+        if not np.isfinite(arr).all():
+            raise FormatError(f"non-finite values in record {name}", offset=start)
+        arrays[name] = arr
         pos += nbytes
     return arrays
 

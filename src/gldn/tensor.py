@@ -197,7 +197,10 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> T
     validated.
     """
     if check and not np.all(np.isfinite(out_data)):
-        raise NumericsError("non-finite values produced by a forward op")
+        raise NumericsError(
+            f"non-finite values produced by forward op {backward_fn.__qualname__}"
+            f" (output shape {out_data.shape}, dtype {out_data.dtype})"
+        )
     requires = _grad_enabled and any(t.requires_grad for t in inputs)
     node = TapeNode(tuple(inputs), backward_fn) if requires else None
     return Tensor._from_op(out_data, requires, node)

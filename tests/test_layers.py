@@ -1,5 +1,7 @@
 """Layer ops: spec'd shape/value cases, brute-force oracles, gradient checks."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,66 @@ class TestConv3d:
 
         def f(x, w, b):
             return (L.conv3d(x, L.Conv3dParams(w, b)) * 0.7).sum()
+
+        for res in grad_check(f, [x, p.weight, p.bias], tol=1e-6):
+            assert res.passed, res
+
+
+def conv3d_taps_reference(x, w, b, g):
+    """27 shifted tensordot accumulations: forward output and (dx, dw, db) for `g`."""
+    B, Cin, D, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+    acc = np.zeros((w.shape[0], B, D, H, W), dtype=x.dtype)
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for i, j, k in product(range(3), range(3), range(3)):
+        view = xp[:, :, i : i + D, j : j + H, k : k + W]
+        acc += np.tensordot(w[:, :, i, j, k], view, axes=(1, 1))
+        dw[:, :, i, j, k] = np.tensordot(g, view, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+        spread = np.tensordot(w[:, :, i, j, k], g, axes=(0, 1))
+        dxp[:, :, i : i + D, j : j + H, k : k + W] += spread.transpose(1, 0, 2, 3, 4)
+    out = acc.transpose(1, 0, 2, 3, 4) + b.reshape(1, -1, 1, 1, 1)
+    return out, dxp[:, :, 1:-1, 1:-1, 1:-1], dw, g.sum(axis=(0, 2, 3, 4))
+
+
+def bound_for_slab_depth(monkeypatch, x_shape, itemsize, depth):
+    """Set the column bound so each slab of an input of `x_shape` holds `depth` planes."""
+    B, Cin, _, H, W = x_shape
+    monkeypatch.setattr(L, "_COLS_BYTES", depth * 27 * Cin * B * H * W * itemsize)
+
+
+class TestConv3dSlabs:
+    """The slab im2col/col2im path against the 27-tap reference, across slab edges."""
+
+    @pytest.mark.parametrize("c_in", [1, 5])
+    def test_float32_matches_tap_reference(self, monkeypatch, c_in):
+        rng = np.random.default_rng(20 + c_in)
+        shape = (3, c_in, 7, 4, 5)
+        bound_for_slab_depth(monkeypatch, shape, 4, 3)
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        assert [d1 - d0 for d0, d1 in L._slabs(x.data)] == [3, 3, 1]
+        p = conv_params(4, c_in, rng, dtype=np.float32)
+        p.bias.data[:] = rng.normal(size=4)
+        g = rng.normal(size=(3, 4, 7, 4, 5)).astype(np.float32)
+        out = L.conv3d(x, p)
+        backward((out * Tensor(g)).sum())
+        want = conv3d_taps_reference(x.data, p.weight.data, p.bias.data, g)
+        got = (out.data, x.grad, p.weight.grad, p.bias.grad)
+        for name, a, ref in zip(("out", "dx", "dw", "db"), got, want):
+            assert a.dtype == np.float32, name
+            err = np.abs(a - ref).max()
+            assert err <= 1e-5 * np.abs(ref).max(), (name, err)
+
+    def test_grad_check_across_slab_boundary(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        x = t64(rng.normal(size=(2, 2, 3, 3, 2)))
+        bound_for_slab_depth(monkeypatch, x.shape, 8, 2)
+        assert L._slabs(x.data) == [(0, 2), (2, 3)]
+        p = conv_params(3, 2, rng)
+        coeff = rng.normal(size=(2, 3, 3, 3, 2))
+
+        def f(x, w, b):
+            return (L.conv3d(x, L.Conv3dParams(w, b)) * coeff).sum()
 
         for res in grad_check(f, [x, p.weight, p.bias], tol=1e-6):
             assert res.passed, res

@@ -1,5 +1,8 @@
 """Model assembly: fusion blocks, head, ablations, init, checkpoints."""
 
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -249,12 +252,6 @@ class TestEndToEndGradient:
         x = Tensor(
             np.random.default_rng(6).normal(size=(1, 1, 8, 8, 8)), requires_grad=True, dtype=np.float64
         )
-        target_bin = 30
-
-        def f(x):
-            out = model.forward(x, training=True)
-            return out.sum() * 0.0 + out.reshape(84)[target_bin:target_bin + 1].sum() if False else (out * coeff).sum()
-
         coeff = np.random.default_rng(7).normal(size=(1, 84))
         (res,) = grad_check(lambda t: (model.forward(t, training=True) * coeff).sum(), [x], tol=1e-4, sample=48)
         assert res.passed, res
@@ -334,8 +331,6 @@ class TestCheckpoint:
             M.load_checkpoint(path, other)
 
     def test_extent_overflow(self, tmp_path):
-        import struct
-
         path = tmp_path / "bad.ckpt"
         blob = M.CKPT_MAGIC + struct.pack("<I", 1)
         name = b"w"
@@ -343,3 +338,32 @@ class TestCheckpoint:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="overflow"):
             M.read_checkpoint(path)
+
+    def test_non_utf8_name(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        name = b"\xff\xfe"
+        record = struct.pack("<I", len(name)) + name + struct.pack("<I", 1) + struct.pack("<I", 1)
+        path.write_bytes(M.CKPT_MAGIC + struct.pack("<I", M.CKPT_VERSION) + record + struct.pack("<f", 1.0))
+        with pytest.raises(FormatError, match="UTF-8") as ei:
+            M.read_checkpoint(path)
+        assert ei.value.offset == 12
+
+    @pytest.mark.parametrize(
+        "second, match",
+        [
+            ({"w": np.zeros(2, dtype=np.float32)}, "duplicate"),
+            ({"b": np.array([1.0, np.nan], dtype=np.float32)}, "non-finite"),
+        ],
+        ids=["duplicate", "non_finite"],
+    )
+    def test_bad_second_record(self, tmp_path, second, match):
+        buf = io.BytesIO()
+        buf.write(M.CKPT_MAGIC + struct.pack("<I", M.CKPT_VERSION))
+        M.write_records(buf, {"w": np.ones(2, dtype=np.float32)})
+        offset = buf.tell()
+        M.write_records(buf, second)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(buf.getvalue())
+        with pytest.raises(FormatError, match=match) as ei:
+            M.read_checkpoint(path)
+        assert ei.value.offset == offset

@@ -186,6 +186,12 @@ class TestFiniteChecks:
             Tensor(np.zeros((2, 0, 3)))
 
 
+class TestFiniteErrorMessage:
+    def test_names_op_shape_and_dtype(self):
+        with pytest.raises(NumericsError, match=r"div\.<locals>\.bwd.*\(1,\).*float32"):
+            Tensor([1.0]) / Tensor([0.0])
+
+
 class TestBroadcasting:
     def test_unbroadcast_sums_grad(self):
         a = t64(np.ones((3, 4)))
