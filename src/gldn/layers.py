@@ -4,20 +4,22 @@ Convolution and pooling are fused primitives with hand-written backward rules
 (the hot path). The 3x3x3 convolution is lowered to GEMMs over depth slabs:
 im2col for the forward pass and dW, col2im for dX, all through one tap-view
 helper, with each slab's column buffer held under a fixed byte bound.
-Normalization, attention and the encoder layer are composed from tensor
-primitives so their gradients come for free.
+BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
+backward; they differ only in the reduced axes and where the statistics come
+from. Attention and the encoder layer are composed from tensor primitives so
+their gradients come for free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import DimensionError
-from .tensor import Tensor, apply_op, matmul, permute_axes, reshape, sqrt as tsqrt
+from .tensor import Tensor, _unbroadcast, apply_op, matmul, permute_axes, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -152,14 +154,16 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
 
     def bwd(g):
         dw = np.zeros_like(wm)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros_like(xp) if x.requires_grad else None  # no dX for a constant input
         for d0, d1 in slabs:
             gs = g[:, :, d0:d1].transpose(1, 0, 2, 3, 4).reshape(c_out, -1)
             dw += gs @ _cols(xp, d0, d1).T
+            if dxp is None:
+                continue
             dcols = (wm.T @ gs).reshape(c_in, 27, B, d1 - d0, H, W)
             for t, view in enumerate(_taps(dxp, d0, d1)):
                 view += dcols[:, t].transpose(1, 0, 2, 3, 4)
-        dx = np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1, 1:-1])
+        dx = None if dxp is None else np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1, 1:-1])
         db = g.sum(axis=(0, 2, 3, 4))
         return dx, dw.reshape(p.weight.shape), db
 
@@ -204,6 +208,42 @@ def maxpool3d(x: Tensor, size: int = 2) -> Tensor:
     return apply_op(np.ascontiguousarray(out_data), (x,), bwd, check=False)
 
 
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, stats=None):
+    """gamma * (x - mu) / sqrt(var + eps) + beta as one tape node, over `axes`.
+
+    Without `stats`, mu and var are the biased statistics of x over `axes` and
+    the backward differentiates through them (Ioffe & Szegedy 2015; Ba et al.
+    2016). With `stats=(mean, var)`, arrays broadcastable to x, they are
+    constants. gamma and beta broadcast against x. Returns the output and the
+    (mean, var) used, reduced with keepdims.
+    """
+    axes = tuple(a % x.ndim for a in axes)
+    if stats is None:
+        mean = x.data.mean(axis=axes, keepdims=True)
+        xhat = x.data - mean
+        var = np.square(xhat).mean(axis=axes, keepdims=True)
+    else:
+        mean, var = (np.asarray(a, dtype=x.dtype) for a in stats)
+        xhat = x.data - mean
+    std = np.sqrt(var + eps)
+    xhat /= std
+    out_data = xhat * gamma.data
+    out_data += beta.data
+
+    def bwd(g):
+        dxhat = g * gamma.data
+        if stats is None:
+            # the gradients through mu and var, in closed form
+            m1 = dxhat.mean(axis=axes, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+            dxhat -= m1
+            dxhat -= xhat * m2
+        dxhat /= std
+        return dxhat, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
+
+    return apply_op(out_data, (x, gamma, beta), bwd), (mean, var)
+
+
 def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
     """Per-channel normalization over batch and spatial dims.
 
@@ -216,27 +256,20 @@ def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
     B, C, D, H, W = x.shape
     if C != s.gamma.shape[0]:
         raise DimensionError(f"batchnorm3d channel mismatch: {C} vs {s.gamma.shape[0]}")
-    axes = (0, 2, 3, 4)
+    n = B * D * H * W
+    if s.training and n < 2:
+        raise DimensionError("batchnorm3d train mode needs >= 2 elements per channel")
+    stats = None if s.training else (
+        s.running_mean.reshape(1, C, 1, 1, 1), s.running_var.reshape(1, C, 1, 1, 1)
+    )
     gamma = reshape(s.gamma, (1, C, 1, 1, 1))
     beta = reshape(s.beta, (1, C, 1, 1, 1))
+    out, (mean, var) = normalize(x, gamma, beta, (0, 2, 3, 4), s.eps, stats)
     if s.training:
-        n = B * D * H * W
-        if n < 2:
-            raise ValueError("batchnorm3d train mode needs >= 2 elements per channel")
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        xhat = centered / tsqrt(var + s.eps)
         # detached running-stat update (single writer: the training loop)
-        batch_mean = mu.data.reshape(C)
-        batch_var = var.data.reshape(C) * (n / (n - 1))
-        s.running_mean += s.momentum * (batch_mean - s.running_mean)
-        s.running_var += s.momentum * (batch_var - s.running_var)
-    else:
-        rm = Tensor(s.running_mean.reshape(1, C, 1, 1, 1), dtype=x.data.dtype)
-        rv = Tensor(s.running_var.reshape(1, C, 1, 1, 1), dtype=x.data.dtype)
-        xhat = (x - rm) / tsqrt(rv + s.eps)
-    return xhat * gamma + beta
+        s.running_mean += s.momentum * (mean.reshape(C) - s.running_mean)
+        s.running_var += s.momentum * (var.reshape(C) * (n / (n - 1)) - s.running_var)
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -254,10 +287,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / tsqrt(var + eps) * gamma + beta
+    return normalize(x, gamma, beta, (-1,), eps)[0]
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,10 +182,6 @@ def llb_forward(x: Tensor, blocks, order: str = "relu_bn") -> Tensor:
     return cnn_block(cnn_block(x, blocks[0], order), blocks[1], order)
 
 
-def glb_forward(x: Tensor, cfg: S.SptConfig, params) -> Tensor:
-    return S.spt_forward(x, cfg, params)
-
-
 def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
     """Channel concatenation, local stream first; ablated streams pass None."""
     if local is None and global_ is None:
@@ -203,7 +199,7 @@ def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
 
 def fusion_block_forward(x: Tensor, block: FusionBlock, order: str = "relu_bn") -> Tensor:
     local = llb_forward(x, block.llb, order) if block.llb is not None else None
-    global_ = glb_forward(x, block.glb_cfg, block.glb) if block.glb_cfg is not None else None
+    global_ = S.spt_forward(x, block.glb_cfg, block.glb) if block.glb_cfg is not None else None
     return aggregate(local, global_)
 
 
@@ -266,9 +262,6 @@ class GLDN:
         out = {name: t.data for name, t in self.store.params.items()}
         out.update(self.store.buffers)
         return out
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.state_arrays().items()}
 
     def load_state(self, arrays: dict[str, np.ndarray], source: str = "state"):
         own = self.state_arrays()
@@ -366,9 +359,6 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
         out_channels = 0
         if cfg.ablation != "no_cnn":
             c1, c2 = fc.llb_channels
-            for a, extent in enumerate(shape):
-                if extent % 4:
-                    raise ConfigError(f"block {i}: extent {extent} on axis {a} not divisible by 4")
             llb = (
                 _build_cnn_block(store, f"{prefix}.llb.cb0", channels, c1),
                 _build_cnn_block(store, f"{prefix}.llb.cb1", c1, c2),
@@ -389,36 +379,6 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
     head_w = store.xavier("head.w", channels, cfg.label_bins)
     head_b = store.zeros("head.b", cfg.label_bins)
     return GLDN(cfg, store, blocks, head_w, head_b)
-
-
-def model_forward(x: Tensor, model: GLDN, training: bool = False) -> Tensor:
-    return model.forward(x, training)
-
-
-def shape_chain(cfg: ModelConfig) -> list[dict]:
-    """Per-block shape bookkeeping for inspection output."""
-    cfg.validate()
-    rows = []
-    shape = tuple(cfg.input_shape)
-    channels = 1
-    for i in range(cfg.num_blocks):
-        fc = cfg.block(i)
-        entry = {"block": i, "in_channels": channels, "in_shape": shape}
-        out_c = 0
-        if cfg.ablation != "no_cnn":
-            entry["llb_channels"] = fc.llb_channels
-            out_c += fc.llb_channels[1]
-        if cfg.ablation != "no_transformer":
-            plan = S.plan_spt(shape, channels, fc.patch, fc.embed_dim, fc.depth, fc.heads, fc.glb_channels)
-            entry["glb_channels"] = fc.glb_channels
-            entry["part_patches"] = tuple(p.patch for p in plan.parts)
-            out_c += fc.glb_channels
-        shape = tuple(s // 4 for s in shape)
-        channels = out_c
-        entry["out_channels"] = out_c
-        entry["out_shape"] = shape
-        rows.append(entry)
-    return rows
 
 
 # -- checkpoint container -------------------------------------------------------------

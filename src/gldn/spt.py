@@ -7,6 +7,12 @@ tokens back to a voxel grid at half the in-slice resolution. The sliced axis
 is untouched, so after the three parts every spatial axis has been halved by
 exactly the two parts that did not slice along it: a net 1/4 per axis.
 
+Slicing and patching are one data movement each way: `tokenize` splits the
+two in-slice axes into (grid, patch) pairs and brings slice, grid, patch and
+channel axes into token order with a single permutation; `detokenize` applies
+its inverse. Besides the 2x2 gather of `patch_merge`, a part moves its volume
+once on the way in and once on the way out.
+
 Patch sizes adapt per part: a part uses the largest power-of-two patch edge
 <= the requested one for which both in-slice extents split into an even token
 grid (merging needs even grid sides). For 96x112x96 at patch 8 this resolves
@@ -17,15 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DimensionError
 from .layers import EncoderLayerParams, linear, layer_norm, transformer_encoder_layer
 from .tensor import Tensor, permute_axes, reshape
 
 VIEW_NAMES = {0: "sagittal", 1: "axial", 2: "coronal"}
 
-# permutations taking [B,C,D,H,W] to [B,S,C,H',W'] for each sliced axis
-_SLICE_PERM = {0: (0, 2, 1, 3, 4), 1: (0, 3, 1, 2, 4), 2: (0, 4, 1, 2, 3)}
-_UNSLICE_PERM = {0: (0, 2, 1, 3, 4), 1: (0, 2, 3, 1, 4), 2: (0, 2, 3, 4, 1)}
+# For each sliced axis: the permutation taking [B, C, D, H, W], with the two
+# in-slice axes split into (grid, patch) pairs, to [B, S, gh, gw, p, p, C].
+_TOKEN_PERM = {0: (0, 2, 3, 5, 4, 6, 1), 1: (0, 4, 2, 5, 3, 6, 1), 2: (0, 6, 2, 4, 3, 5, 1)}
 
 
 @dataclass
@@ -136,50 +144,43 @@ def plan_spt(
 # -- data movement ---------------------------------------------------------------
 
 
-def slice_view(x: Tensor, axis: int) -> Tensor:
-    """[B,C,D,H,W] -> [B*S, C, H', W'] where S is the extent along `axis`."""
+def tokenize(x: Tensor, axis: int, patch: int) -> Tensor:
+    """[B,C,D,H,W] -> [B*S, (H'/p)(W'/p), p*p*C], S the extent along `axis`.
+
+    One token sequence per slice (batch-major); patches in row-major order
+    over the slice, each flattened in (row, column, channel) order.
+    """
     if x.ndim != 5:
-        raise DimensionError(f"slice_view expects rank 5, got {x.shape}")
+        raise DimensionError(f"tokenize expects rank 5, got {x.shape}")
     if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    moved = permute_axes(x, _SLICE_PERM[axis])
-    b, s, c, h, w = moved.shape
-    return reshape(moved, (b * s, c, h, w))
+        raise DimensionError(f"axis must be 0, 1 or 2, got {axis}")
+    b, c = x.shape[:2]
+    extent = x.shape[2 + axis]
+    inslice = [e for a, e in enumerate(x.shape[2:]) if a != axis]
+    for e in inslice:
+        if e % patch:
+            raise DimensionError(f"patch {patch} does not divide in-slice extent {e}")
+    grid = [e // patch for e in inslice]
+    split = [(g, patch) for g in grid]
+    split.insert(axis, (extent,))
+    t = reshape(x, (b, c) + sum(split, ()))
+    t = permute_axes(t, _TOKEN_PERM[axis])
+    return reshape(t, (b * extent, grid[0] * grid[1], patch * patch * c))
 
 
-def unslice_view(slices: Tensor, axis: int, batch: int) -> Tensor:
-    """Inverse of slice_view: [B*S, C, H', W'] -> [B,C,D,H,W]."""
-    if slices.ndim != 4:
-        raise DimensionError(f"unslice_view expects rank 4, got {slices.shape}")
-    n, c, h, w = slices.shape
-    if n % batch:
-        raise DimensionError(f"{n} slices do not divide into batch {batch}")
-    stacked = reshape(slices, (batch, n // batch, c, h, w))
-    return permute_axes(stacked, _UNSLICE_PERM[axis])
-
-
-def patch_split(slices: Tensor, patch: int) -> Tensor:
-    """[N,C,H,W] -> [N, (H/p)(W/p), p*p*C]; pure reshape, row-major patch order."""
-    if slices.ndim != 4:
-        raise DimensionError(f"patch_split expects rank 4, got {slices.shape}")
-    n, c, h, w = slices.shape
-    if h % patch:
-        raise DimensionError(f"patch {patch} does not divide slice height {h}")
-    if w % patch:
-        raise DimensionError(f"patch {patch} does not divide slice width {w}")
-    gh, gw = h // patch, w // patch
-    t = reshape(slices, (n, c, gh, patch, gw, patch))
-    t = permute_axes(t, (0, 2, 4, 3, 5, 1))  # [N, gh, gw, p, p, C]
-    return reshape(t, (n, gh * gw, patch * patch * c))
-
-
-def patch_join(tokens: Tensor, grid: tuple[int, int], patch: int, channels: int) -> Tensor:
-    """Inverse of patch_split: [N, gh*gw, p*p*C] -> [N, C, H, W]."""
-    n = tokens.shape[0]
-    gh, gw = grid
-    t = reshape(tokens, (n, gh, gw, patch, patch, channels))
-    t = permute_axes(t, (0, 5, 1, 3, 2, 4))  # [N, C, gh, p, gw, p]
-    return reshape(t, (n, channels, gh * patch, gw * patch))
+def detokenize(tokens: Tensor, axis: int, grid: tuple[int, int], patch: int, batch: int) -> Tensor:
+    """Inverse of tokenize: [B*S, gh*gw, p*p*C] -> [B,C,D,H,W]."""
+    n, count, dim = tokens.shape
+    if n % batch or count != grid[0] * grid[1] or dim % (patch * patch):
+        raise DimensionError(
+            f"tokens {tokens.shape} do not fill batch {batch}, grid {grid}, patch {patch}"
+        )
+    extent, c = n // batch, dim // (patch * patch)
+    t = reshape(tokens, (batch, extent, grid[0], grid[1], patch, patch, c))
+    t = permute_axes(t, np.argsort(_TOKEN_PERM[axis]))
+    volume = [g * patch for g in grid]
+    volume.insert(axis, extent)
+    return reshape(t, (batch, c) + tuple(volume))
 
 
 def embed_tokens(tokens: Tensor, proj_w: Tensor, proj_b: Tensor, pos: Tensor) -> Tensor:
@@ -215,24 +216,23 @@ def patch_merge(
 def de_patchify(
     merged: Tensor, grid_half: tuple[int, int], patch: int, out_channels: int, w: Tensor, b: Tensor
 ) -> Tensor:
-    """Project each merged token to a p x p block of the half-resolution slice."""
-    gh2, gw2 = grid_half
-    n, count, _ = merged.shape
-    if count != gh2 * gw2:
+    """Project each merged token to the p*p*C_out values of its p x p block of
+    the half-resolution slice: [N, gh2*gw2, 2d] -> [N, gh2*gw2, p*p*C_out]."""
+    count = merged.shape[1]
+    if count != grid_half[0] * grid_half[1]:
         raise DimensionError(f"{count} merged tokens do not fill grid {grid_half}")
     if w.shape[1] != patch * patch * out_channels:
         raise DimensionError(
             f"de-patchify projection maps to {w.shape[1]}, need {patch * patch * out_channels}"
         )
-    blocks = linear(merged, w, b)  # [N, gh2*gw2, p*p*C_out]
-    return patch_join(blocks, grid_half, patch, out_channels)
+    return linear(merged, w, b)
 
 
 # -- forward ----------------------------------------------------------------------
 
 
 def spt_part_forward(x: Tensor, cfg: SptPartConfig, params: SptPartParams) -> Tensor:
-    """One view: slice, tokenize, encode, merge, rebuild at half in-slice scale."""
+    """One view: tokenize the slices, encode, merge, rebuild at half in-slice scale."""
     batch = x.shape[0]
     if x.shape[1] != cfg.in_channels:
         raise DimensionError(
@@ -242,8 +242,7 @@ def spt_part_forward(x: Tensor, cfg: SptPartConfig, params: SptPartParams) -> Te
         raise DimensionError(
             f"part {cfg.axis} planned for in-slice {cfg.slice_hw}, got volume {x.shape}"
         )
-    slices = slice_view(x, cfg.axis)
-    tokens = patch_split(slices, cfg.patch)
+    tokens = tokenize(x, cfg.axis, cfg.patch)
     tokens = embed_tokens(tokens, params.proj_w, params.proj_b, params.pos)
     for layer in params.encoder:
         tokens = transformer_encoder_layer(tokens, layer)
@@ -251,8 +250,8 @@ def spt_part_forward(x: Tensor, cfg: SptPartConfig, params: SptPartParams) -> Te
         tokens, cfg.grid, params.merge_ln_gamma, params.merge_ln_beta, params.merge_w, params.merge_b
     )
     half = (cfg.grid[0] // 2, cfg.grid[1] // 2)
-    rebuilt = de_patchify(merged, half, cfg.patch, cfg.out_channels, params.depatch_w, params.depatch_b)
-    return unslice_view(rebuilt, cfg.axis, batch)
+    blocks = de_patchify(merged, half, cfg.patch, cfg.out_channels, params.depatch_w, params.depatch_b)
+    return detokenize(blocks, cfg.axis, half, cfg.patch, batch)
 
 
 def spt_forward(x: Tensor, cfg: SptConfig, params: list[SptPartParams]) -> Tensor:

@@ -154,6 +154,20 @@ class TestConv3dSlabs:
             assert res.passed, res
 
 
+    def test_constant_input_skips_dx(self):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=(2, 1, 5, 4, 3)).astype(np.float32))
+        p = conv_params(3, 1, rng, dtype=np.float32)
+        p.bias.data[:] = rng.normal(size=3)
+        g = rng.normal(size=(2, 3, 5, 4, 3)).astype(np.float32)
+        out = L.conv3d(x, p)
+        assert out._node.backward_fn(g)[0] is None
+        backward((out * Tensor(g)).sum())
+        _, _, dw, db = conv3d_taps_reference(x.data, p.weight.data, p.bias.data, g)
+        for name, a, ref in (("dw", p.weight.grad, dw), ("db", p.bias.grad, db)):
+            assert np.abs(a - ref).max() <= 1e-5 * np.abs(ref).max(), name
+
+
 class TestRelu:
     def test_sign_cases(self):
         out = L.relu(Tensor([-1.0, 0.0, 2.0]))
@@ -284,6 +298,102 @@ class TestBatchNorm3d:
 
         rng2 = np.random.default_rng(5).normal(size=(2, 2, 2, 2, 2))
         for res in grad_check(f, [x, s.gamma, s.beta], tol=1e-4):
+            assert res.passed, res
+
+
+def batchnorm_composite(x, s):
+    """BatchNorm as the tensor-op composite it was before `normalize` (reference)."""
+    C = x.shape[1]
+    axes = (0, 2, 3, 4)
+    if s.training:
+        mu = x.mean(axis=axes, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        xhat = centered / T.sqrt(var + s.eps)
+    else:
+        rm = Tensor(s.running_mean.reshape(1, C, 1, 1, 1), dtype=x.dtype)
+        rv = Tensor(s.running_var.reshape(1, C, 1, 1, 1), dtype=x.dtype)
+        xhat = (x - rm) / T.sqrt(rv + s.eps)
+    return xhat * T.reshape(s.gamma, (1, C, 1, 1, 1)) + T.reshape(s.beta, (1, C, 1, 1, 1))
+
+
+def layer_norm_composite(x, gamma, beta, eps=1e-5):
+    """LayerNorm as the tensor-op composite it was before `normalize` (reference)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / T.sqrt(var + eps) * gamma + beta
+
+
+def tape_nodes(out):
+    """Number of tape nodes that `out` depends on."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if t._node is not None and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._node.inputs)
+    return len(seen)
+
+
+def bn_case(rng, training, dtype=np.float32):
+    c = 4
+    s = L.BatchNorm3dState(
+        gamma=Tensor(rng.uniform(0.5, 2.0, size=c).astype(dtype), requires_grad=True),
+        beta=Tensor(rng.normal(size=c).astype(dtype), requires_grad=True),
+        running_mean=rng.normal(size=c).astype(dtype),
+        running_var=rng.uniform(0.5, 3.0, size=c).astype(dtype),
+        training=training,
+    )
+    x = Tensor(rng.normal(loc=2.0, scale=3.0, size=(3, c, 5, 6, 7)).astype(dtype), requires_grad=True)
+    return x, s
+
+
+class TestNormalize:
+    """The one normalization primitive against the composites it replaced."""
+
+    def run(self, fn, x, params, g):
+        for t in (x,) + params:
+            t.zero_grad()
+        out = fn()
+        backward((out * Tensor(g)).sum())
+        return out, [out.data, x.grad.copy()] + [p.grad.copy() for p in params]
+
+    @pytest.mark.parametrize("case", ["bn_train", "bn_eval", "ln"])
+    def test_float32_matches_composite(self, case):
+        rng = np.random.default_rng(50)
+        if case == "ln":
+            x = Tensor(rng.normal(loc=1.0, scale=2.0, size=(6, 9, 16)).astype(np.float32), requires_grad=True)
+            gamma = Tensor(rng.uniform(0.5, 2.0, size=16).astype(np.float32), requires_grad=True)
+            beta = Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True)
+            params = (gamma, beta)
+            new, ref = (lambda: L.layer_norm(x, gamma, beta)), (lambda: layer_norm_composite(x, gamma, beta))
+            nodes = 1
+        else:
+            x, s = bn_case(rng, training=case == "bn_train")
+            params = (s.gamma, s.beta)
+            new, ref = (lambda: L.batchnorm3d(x, s)), (lambda: batchnorm_composite(x, s))
+            nodes = 3  # normalize plus the gamma and beta reshapes
+        g = rng.normal(size=x.shape).astype(np.float32)
+        out, got = self.run(new, x, params, g)
+        assert tape_nodes(out) == nodes
+        _, want = self.run(ref, x, params, g)
+        for name, a, r in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+            assert a.dtype == np.float32, name
+            err = np.abs(a - r).max()
+            assert err <= 1e-5 * np.abs(r).max(), (name, err)
+
+    def test_grad_check_bn_eval(self):
+        rng = np.random.default_rng(51)
+        x, s = bn_case(rng, training=False, dtype=np.float64)
+        x = t64(x.data[:2, :, :2, :3, :2])
+        coeff = rng.normal(size=x.shape)
+
+        def f(x, g, b):
+            st = L.BatchNorm3dState(g, b, s.running_mean, s.running_var, training=False)
+            return (L.batchnorm3d(x, st) * coeff).sum()
+
+        for res in grad_check(f, [x, s.gamma, s.beta], tol=1e-6):
             assert res.passed, res
 
 

@@ -219,13 +219,14 @@ class TestBuildModel:
         assert model.num_parameters() == want
 
     def test_shape_chain_report(self):
-        rows = M.shape_chain(FULL)
-        assert rows[0]["out_channels"] == 40
-        assert rows[0]["out_shape"] == (24, 28, 24)
-        assert rows[1]["out_channels"] == 160
-        assert rows[1]["out_shape"] == (6, 7, 6)
-        assert rows[0]["part_patches"] == (8, 8, 4)
-        assert rows[1]["part_patches"] == (2, 2, 1)
+        # the built plan: block 1's SPT slices block 0's 24x28x24 output and
+        # its parts leave 6x7x6 (in-slice extents halve part by part)
+        model = M.build_model(FULL, seed=0)
+        assert [block.out_channels for block in model.blocks] == [40, 160]
+        assert model.blocks[1].llb[0].conv.weight.shape[1] == 40
+        assert model.head_w.shape[0] == 160
+        assert [tuple(p.patch for p in b.glb_cfg.parts) for b in model.blocks] == [(8, 8, 4), (2, 2, 1)]
+        assert [p.slice_hw for p in model.blocks[1].glb_cfg.parts] == [(28, 24), (24, 12), (12, 14)]
 
 
 class TestAblations:

@@ -1,4 +1,4 @@
-"""Permuted-transformer stage: slicing, tokenization, merging, shape contracts."""
+"""Permuted-transformer stage: tokenization, merging, shape contracts."""
 
 import numpy as np
 import pytest
@@ -18,56 +18,97 @@ def build_plan(shape, channels=1, patch=8, d=32, depth=2, heads=4, out=8):
     return S.plan_spt(shape, channels, patch, d, depth, heads, out)
 
 
+def roundtrip(x, axis, patch):
+    b, _, *spatial = x.shape
+    grid = tuple(e // patch for a, e in enumerate(spatial) if a != axis)
+    return S.detokenize(S.tokenize(x, axis, patch), axis, grid, patch, b)
+
+
+def two_step_tokens(x, axis, patch):
+    """The former slice-then-patch path in numpy: [B,C,D,H,W] -> [B*S, C, H', W']
+    -> [N, (H'/p)(W'/p), p*p*C]."""
+    moved = x.transpose({0: (0, 2, 1, 3, 4), 1: (0, 3, 1, 2, 4), 2: (0, 4, 1, 2, 3)}[axis])
+    b, s, c, h, w = moved.shape
+    t = moved.reshape(b * s, c, h // patch, patch, w // patch, patch).transpose(0, 2, 4, 3, 5, 1)
+    return t.reshape(b * s, (h // patch) * (w // patch), patch * patch * c)
+
+
 class TestSliceView:
+    """The slicing half of tokenize/detokenize."""
+
     def test_paper_slicing(self):
         x = Tensor(np.zeros((1, 1, 96, 112, 96), dtype=np.float32))
-        assert S.slice_view(x, 0).shape == (96, 1, 112, 96)
+        assert S.tokenize(x, 0, 1).shape == (96, 112 * 96, 1)
+        assert S.tokenize(x, 1, 8).shape == (112, 12 * 12, 64)
 
     def test_roundtrip_bitwise_all_axes(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, 3, 4, 6, 5)).astype(np.float32))
+        x = Tensor(rng.normal(size=(2, 3, 4, 6, 8)).astype(np.float32))
         for axis in (0, 1, 2):
-            back = S.unslice_view(S.slice_view(x, axis), axis, batch=2)
-            np.testing.assert_array_equal(back.data, x.data)
+            for patch in (1, 2):
+                np.testing.assert_array_equal(roundtrip(x, axis, patch).data, x.data)
 
     def test_shape_contract_axis1(self):
         x = Tensor(np.zeros((2, 8, 4, 6, 4), dtype=np.float32))
-        assert S.slice_view(x, 1).shape == (12, 8, 4, 4)
+        assert S.tokenize(x, 1, 1).shape == (12, 16, 8)
+        assert S.tokenize(x, 1, 2).shape == (12, 4, 32)
 
     def test_rank_checked(self):
-        with pytest.raises(DimensionError):
-            S.slice_view(Tensor(np.zeros((2, 3, 4, 5))), 0)
+        with pytest.raises(DimensionError, match="rank 5"):
+            S.tokenize(Tensor(np.zeros((2, 3, 4, 5))), 0, 1)
+        with pytest.raises(DimensionError, match="axis"):
+            S.tokenize(Tensor(np.zeros((1, 1, 2, 2, 2))), 3, 1)
+        with pytest.raises(DimensionError, match="batch 2"):
+            S.detokenize(Tensor(np.zeros((3, 4, 2))), 0, (2, 2), 1, 2)
 
 
 class TestPatchSplit:
+    """The patching half of tokenize/detokenize."""
+
     def test_paper_token_counts(self):
-        x = Tensor(np.zeros((96, 1, 112, 96), dtype=np.float32))
-        tokens = S.patch_split(x, 8)
-        assert tokens.shape == (96, 168, 64)
+        x = Tensor(np.zeros((1, 1, 96, 112, 96), dtype=np.float32))
+        assert S.tokenize(x, 0, 8).shape == (96, 168, 64)
 
     def test_p1_roundtrip_bitwise(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(3, 2, 4, 5)).astype(np.float32))
-        tokens = S.patch_split(x, 1)
-        back = S.patch_join(tokens, (4, 5), 1, 2)
-        np.testing.assert_array_equal(back.data, x.data)
+        x = Tensor(rng.normal(size=(3, 2, 4, 5, 3)).astype(np.float32))
+        for axis in (0, 1, 2):
+            np.testing.assert_array_equal(roundtrip(x, axis, 1).data, x.data)
 
     def test_roundtrip_bitwise_general(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(2, 3, 8, 12)).astype(np.float32))
-        back = S.patch_join(S.patch_split(x, 4), (2, 3), 4, 3)
-        np.testing.assert_array_equal(back.data, x.data)
+        x = Tensor(rng.normal(size=(2, 3, 8, 12, 5)).astype(np.float32))
+        np.testing.assert_array_equal(roundtrip(x, 2, 4).data, x.data)
 
     def test_row_major_token_order(self):
-        # one-hot in the top-left patch lands in token 0
-        x = np.zeros((1, 1, 4, 6), dtype=np.float32)
-        x[0, 0, 0, 1] = 1.0
-        tokens = S.patch_split(Tensor(x), 2).data
-        assert tokens[0, 0].sum() == 1.0 and tokens[0, 1:].sum() == 0.0
+        # a one-hot in the top-left patch of slice 0 lands in token 0 of
+        # sequence 0; one a patch to the right lands in token 1
+        x = np.zeros((1, 1, 2, 4, 6), dtype=np.float32)
+        x[0, 0, 0, 0, 1] = 1.0
+        x[0, 0, 0, 1, 2] = 2.0
+        tokens = S.tokenize(Tensor(x), 0, 2).data
+        assert tokens[0, 0].sum() == 1.0 and tokens[0, 1].sum() == 2.0
+        assert tokens[0, 2:].sum() == 0.0 and tokens[1].sum() == 0.0
 
     def test_indivisible_rejected(self):
-        with pytest.raises(DimensionError, match="height 5"):
-            S.patch_split(Tensor(np.zeros((1, 1, 5, 8))), 2)
+        with pytest.raises(DimensionError, match="extent 5"):
+            S.tokenize(Tensor(np.zeros((1, 1, 2, 5, 8))), 0, 2)
+
+    @pytest.mark.parametrize(
+        "shape, axis, patch",
+        [
+            ((1, 1, 96, 112, 96), 0, 8),  # paper block 0, part 0
+            ((1, 8, 96, 56, 48), 1, 8),  # part 1
+            ((1, 8, 48, 56, 24), 2, 4),  # part 2
+            ((2, 40, 24, 28, 24), 0, 2),  # block 1, part 0
+            ((2, 32, 12, 14, 6), 2, 1),  # block 1, part 2
+        ],
+    )
+    def test_matches_two_step_reference(self, shape, axis, patch):
+        x = np.random.default_rng(3).normal(size=shape).astype(np.float32)
+        want = two_step_tokens(x, axis, patch)
+        np.testing.assert_array_equal(S.tokenize(Tensor(x), axis, patch).data, want)
+        np.testing.assert_array_equal(roundtrip(Tensor(x), axis, patch).data, x)
 
 
 class TestEmbedTokens:
@@ -150,7 +191,8 @@ class TestDePatchify:
         w = Tensor(np.zeros((2 * d, 8 * 8 * 8), dtype=np.float32))
         b = Tensor(np.zeros(8 * 8 * 8, dtype=np.float32))
         out = S.de_patchify(merged, (7, 6), 8, 8, w, b)
-        assert out.shape == (96, 8, 56, 48)
+        assert out.shape == (96, 42, 512)
+        assert S.detokenize(out, 0, (7, 6), 8, batch=1).shape == (1, 8, 96, 56, 48)
 
     def test_zero_projection_annihilates(self):
         merged = Tensor(np.random.default_rng(0).normal(size=(2, 6, 8)).astype(np.float32))
@@ -158,7 +200,7 @@ class TestDePatchify:
         b = Tensor(np.zeros(4, dtype=np.float32))
         out = S.de_patchify(merged, (2, 3), 2, 1, w, b)
         np.testing.assert_array_equal(out.data, 0.0)
-        assert out.shape == (2, 1, 4, 6)
+        assert S.detokenize(out, 0, (2, 3), 2, batch=1).shape == (1, 1, 2, 4, 6)
 
     def test_voxel_budget_quartered(self):
         # in-slice voxels after a part = 1/4 of the part input per slice per channel
@@ -207,6 +249,17 @@ class TestSptPartForward:
         x = Tensor(np.random.default_rng(6).normal(size=(1, 1, 32, 48, 32)).astype(np.float32))
         out = S.spt_part_forward(x, plan.parts[0], params)
         assert out.shape == (1, 8, 32, 24, 16)
+
+    def test_one_permutation_each_way(self, monkeypatch):
+        # tokenize, patch_merge's 2x2 gather and detokenize; the encoder's
+        # head split lives in layers and is not counted
+        calls = []
+        real = S.permute_axes
+        monkeypatch.setattr(S, "permute_axes", lambda t, perm: calls.append(perm) or real(t, perm))
+        plan = build_plan((8, 8, 16), patch=2, d=8, depth=1, heads=2, out=4)
+        params, _ = part_params(3, plan.parts[0])
+        S.spt_part_forward(Tensor(np.zeros((2, 1, 8, 8, 16), dtype=np.float32)), plan.parts[0], params)
+        assert len(calls) == 3
 
     def test_sliced_axis_untouched(self):
         plan = build_plan((16, 16, 32), patch=2, d=8, depth=1, heads=2, out=4)
