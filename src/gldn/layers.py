@@ -53,8 +53,7 @@ class AttentionParams:
     wk: Tensor
     wv: Tensor
     wo: Tensor
-    bq: Tensor  # [d]
-    bk: Tensor
+    bq: Tensor  # [d]; no key bias: softmax over keys cancels q.b_k
     bv: Tensor
     bo: Tensor
     heads: int
@@ -350,7 +349,7 @@ def multi_head_attention(x: Tensor, p: AttentionParams) -> Tensor:
         return permute_axes(t, perm)
 
     q = split_heads(linear(x, p.wq, p.bq))
-    k = split_heads(linear(x, p.wk, p.bk))
+    k = split_heads(matmul(x, p.wk))
     v = split_heads(linear(x, p.wv, p.bv))
     att = scaled_dot_attention(q, k, v)
     r = att.ndim

@@ -43,18 +43,6 @@ CKPT_VERSION = 1
 
 
 @dataclass
-class FusionConfig:
-    """Hyperparameters of one fusion block."""
-
-    llb_channels: tuple[int, int]
-    glb_channels: int
-    patch: int
-    embed_dim: int
-    depth: int
-    heads: int
-
-
-@dataclass
 class ModelConfig:
     input_shape: tuple[int, int, int] = (32, 48, 32)
     llb_channels: tuple = ((16, 32), (64, 128))
@@ -70,16 +58,6 @@ class ModelConfig:
     @property
     def num_blocks(self) -> int:
         return len(self.llb_channels)
-
-    def block(self, i: int) -> FusionConfig:
-        return FusionConfig(
-            llb_channels=tuple(self.llb_channels[i]),
-            glb_channels=self.glb_channels[i],
-            patch=self.patch[i],
-            embed_dim=self.embed_dim[i],
-            depth=self.depth[i],
-            heads=self.heads[i],
-        )
 
     def validate(self):
         n = self.num_blocks
@@ -157,7 +135,6 @@ class CnnBlockParams:
 
 @dataclass
 class FusionBlock:
-    cfg: FusionConfig
     llb: tuple[CnnBlockParams, CnnBlockParams] | None
     glb_cfg: S.SptConfig | None
     glb: list[S.SptPartParams] | None
@@ -295,7 +272,6 @@ def _build_spt_part(store: ParamStore, prefix: str, part: S.SptPartConfig) -> S.
                     wv=store.xavier(f"{lp}.attn.wv", d, d),
                     wo=store.xavier(f"{lp}.attn.wo", d, d),
                     bq=store.zeros(f"{lp}.attn.bq", d),
-                    bk=store.zeros(f"{lp}.attn.bk", d),
                     bv=store.zeros(f"{lp}.attn.bv", d),
                     bo=store.zeros(f"{lp}.attn.bo", d),
                     heads=part.heads,
@@ -351,14 +327,13 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
     channels = 1
     blocks = []
     for i in range(cfg.num_blocks):
-        fc = cfg.block(i)
         prefix = f"blocks.{i}"
         llb = None
         glb_cfg = None
         glb = None
         out_channels = 0
         if cfg.ablation != "no_cnn":
-            c1, c2 = fc.llb_channels
+            c1, c2 = cfg.llb_channels[i]
             llb = (
                 _build_cnn_block(store, f"{prefix}.llb.cb0", channels, c1),
                 _build_cnn_block(store, f"{prefix}.llb.cb1", c1, c2),
@@ -366,14 +341,15 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
             out_channels += c2
         if cfg.ablation != "no_transformer":
             glb_cfg = S.plan_spt(
-                shape, channels, fc.patch, fc.embed_dim, fc.depth, fc.heads, fc.glb_channels
+                shape, channels, cfg.patch[i], cfg.embed_dim[i], cfg.depth[i], cfg.heads[i],
+                cfg.glb_channels[i],
             )
             glb = [
                 _build_spt_part(store, f"{prefix}.glb.part{j}", part)
                 for j, part in enumerate(glb_cfg.parts)
             ]
-            out_channels += fc.glb_channels
-        blocks.append(FusionBlock(fc, llb, glb_cfg, glb, out_channels))
+            out_channels += cfg.glb_channels[i]
+        blocks.append(FusionBlock(llb, glb_cfg, glb, out_channels))
         shape = tuple(s // 4 for s in shape)
         channels = out_channels
     head_w = store.xavier("head.w", channels, cfg.label_bins)

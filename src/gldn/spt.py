@@ -60,11 +60,6 @@ class SptPartConfig:
 @dataclass
 class SptConfig:
     parts: tuple[SptPartConfig, SptPartConfig, SptPartConfig]
-    input_channels: int
-
-    @property
-    def out_channels(self) -> int:
-        return self.parts[-1].out_channels
 
 
 @dataclass
@@ -138,7 +133,7 @@ def plan_spt(
                 dims[a] //= 2
         channels = out_channels
     assert tuple(dims) == tuple(s // 4 for s in shape)
-    return SptConfig(parts=tuple(parts), input_channels=in_channels)
+    return SptConfig(parts=tuple(parts))
 
 
 # -- data movement ---------------------------------------------------------------

@@ -3,9 +3,11 @@
 A Tensor wraps a contiguous numpy buffer (float32 by default, float64 for
 gradient checking). Differentiable operations record a node holding the
 input references and a backward rule; `backward(loss)` replays the nodes in
-exact reverse creation order, summing gradients over all paths. Forward
-outputs are checked for NaN/Inf and non-finite values raise NumericsError
-at the op that produced them.
+exact reverse creation order, summing gradients over all paths. Gradients
+land only on leaves (parameters and inputs created with requires_grad); op
+outputs pass theirs on and keep none. Forward outputs and the gradients that
+reach leaves are checked for NaN/Inf, and non-finite values raise
+NumericsError at the op that produced them.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class TapeNode:
@@ -76,8 +74,8 @@ class Tensor:
             raise NumericsError("tensor constructed with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        # Leaves created with requires_grad get an eager zero grad buffer so an
-        # unreachable parameter reports zero, not absence.
+        # Leaves created with requires_grad get an eager zero grad buffer that
+        # backward adds into, so an unreachable parameter reports zero, not absence.
         self.grad = np.zeros_like(arr) if self.requires_grad else None
         self._node = None
 
@@ -116,14 +114,9 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)
-        elif self.requires_grad:
-            self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -303,16 +296,6 @@ def absolute(a: Tensor) -> Tensor:
     return apply_op(np.abs(a.data), (a,), bwd, check=False)
 
 
-def clip_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); gradient passes only where a > floor."""
-    mask = a.data > floor
-
-    def bwd(g):
-        return (g * mask,)
-
-    return apply_op(np.maximum(a.data, floor), (a,), bwd, check=False)
-
-
 # -- reductions ---------------------------------------------------------------
 
 
@@ -427,34 +410,29 @@ def concat(parts, axis: int) -> Tensor:
     return apply_op(out_data, tuple(parts), bwd, check=False)
 
 
-def slice_axis(a: Tensor, start: int, stop: int, axis: int) -> Tensor:
-    axis = axis % a.ndim
-    index = tuple(slice(None) if d != axis else slice(start, stop) for d in range(a.ndim))
-    out_data = np.ascontiguousarray(a.data[index])
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return apply_op(out_data, (a,), bwd, check=False)
-
-
 # -- backward pass ------------------------------------------------------------
 
 
 def backward(loss: Tensor):
-    """Fill `.grad` of every reachable requires_grad tensor.
+    """Add d(loss)/d(leaf) into `.grad` of every leaf the loss depends on.
 
-    Repeated calls without zeroing accumulate (gradients are linear, so two
-    passes equal one pass over the summed losses).
+    Gradients land only on leaves, the tensors no recorded op produced. An op
+    output never gets a `.grad`: its incoming gradient is held only until its
+    own backward rule has run. A gradient bound for a leaf is checked for
+    NaN/Inf first and raises NumericsError naming the op whose backward rule
+    produced it, leaving `.grad` untouched. Repeated calls without zeroing
+    accumulate (gradients are linear, so two passes equal one pass over the
+    summed losses).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad; nothing was recorded")
+    if loss._node is None:
+        loss.grad += 1
+        return
 
-    # Collect reachable tensors; leaves sort last (order -1).
+    # Collect the op outputs the loss depends on; leaves are not visited.
     seen: dict[int, Tensor] = {}
     stack = [loss]
     while stack:
@@ -462,33 +440,29 @@ def backward(loss: Tensor):
         if id(t) in seen:
             continue
         seen[id(t)] = t
-        if t._node is not None:
-            for inp in t._node.inputs:
-                if inp.requires_grad and id(inp) not in seen:
-                    stack.append(inp)
-
-    ordered = sorted(
-        seen.values(), key=lambda t: t._node.order if t._node is not None else -1, reverse=True
-    )
+        for inp in t._node.inputs:
+            if inp._node is not None and id(inp) not in seen:
+                stack.append(inp)
 
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for t in ordered:
+    for t in sorted(seen.values(), key=lambda t: t._node.order, reverse=True):
         g = flow.pop(id(t), None)
         if g is None:
             continue
-        if t.grad is None:
-            t.grad = g.copy()
-        else:
-            t.grad += g
         node = t._node
-        if node is None:
-            continue
-        grads = node.backward_fn(g)
-        for inp, gi in zip(node.inputs, grads):
+        for inp, gi in zip(node.inputs, node.backward_fn(g)):
             if gi is None or not inp.requires_grad:
                 continue
-            acc = flow.get(id(inp))
-            flow[id(inp)] = gi if acc is None else acc + gi
+            if inp._node is not None:
+                acc = flow.get(id(inp))
+                flow[id(inp)] = gi if acc is None else acc + gi
+            elif np.all(np.isfinite(gi)):
+                inp.grad += gi
+            else:
+                raise NumericsError(
+                    f"non-finite gradient produced by backward op {node.backward_fn.__qualname__}"
+                    f" (leaf shape {inp.shape}, dtype {inp.dtype})"
+                )
 
 
 # -- gradient checking ---------------------------------------------------------

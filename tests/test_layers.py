@@ -538,6 +538,16 @@ class TestScaledDotAttention:
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(w >= 0)
 
+    def test_key_bias_cancels(self):
+        # q.(k_j + b) - q.k_j = q.b is the same for every key j of a row, so
+        # the softmax over keys removes it: a key bias has nothing to learn
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
+        b = rng.normal(size=(1, 3))
+        shifted = L.scaled_dot_attention(Tensor(q), Tensor(k + b), Tensor(v)).data
+        base = L.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        np.testing.assert_allclose(shifted, base, rtol=1e-12, atol=1e-12)
+
     def test_grad_check(self):
         rng = np.random.default_rng(4)
         q, k, v = (t64(rng.normal(size=(3, 2))) for _ in range(3))
@@ -557,7 +567,7 @@ def mha_params(d, heads, rng=None, dtype=np.float64, identity=False):
     zeros = lambda: Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
     return L.AttentionParams(
         wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), wo=mk((d, d)),
-        bq=zeros(), bk=zeros(), bv=zeros(), bo=zeros(), heads=heads,
+        bq=zeros(), bv=zeros(), bo=zeros(), heads=heads,
     )
 
 
@@ -595,11 +605,11 @@ class TestMultiHeadAttention:
         p = mha_params(4, 2, rng)
         coeff = rng.normal(size=(3, 4))
 
-        def f(x, wq, wk, wv, wo, bq, bk, bv, bo):
-            pp = L.AttentionParams(wq, wk, wv, wo, bq, bk, bv, bo, heads=2)
+        def f(x, wq, wk, wv, wo, bq, bv, bo):
+            pp = L.AttentionParams(wq, wk, wv, wo, bq, bv, bo, heads=2)
             return (L.multi_head_attention(x, pp) * coeff).sum()
 
-        for res in grad_check(f, [x, p.wq, p.wk, p.wv, p.wo, p.bq, p.bk, p.bv, p.bo], tol=1e-4):
+        for res in grad_check(f, [x, p.wq, p.wk, p.wv, p.wo, p.bq, p.bv, p.bo], tol=1e-4):
             assert res.passed, res
 
 
@@ -644,7 +654,7 @@ class TestEncoderLayer:
         def f(x, g1, b1, wq, wv, w1, w2):
             pp = L.EncoderLayerParams(
                 g1, b1,
-                L.AttentionParams(wq, p.attn.wk, wv, p.attn.wo, p.attn.bq, p.attn.bk, p.attn.bv, p.attn.bo, 2),
+                L.AttentionParams(wq, p.attn.wk, wv, p.attn.wo, p.attn.bq, p.attn.bv, p.attn.bo, 2),
                 p.ln2_gamma, p.ln2_beta, w1, p.ffn_b1, w2, p.ffn_b2,
             )
             return (L.transformer_encoder_layer(x, pp) * coeff).sum()

@@ -1,10 +1,12 @@
 """Model assembly: fusion blocks, head, ablations, init, checkpoints."""
 
 import io
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gldn import model as M
 from gldn.errors import ConfigError, DimensionError, FormatError
@@ -195,7 +197,7 @@ class TestBuildModel:
             return cout * cin * 27 + cout + 2 * cout  # weight + bias + bn affine
 
         def encoder(d):
-            attn = 4 * (d * d + d)
+            attn = 4 * d * d + 3 * d  # q, k, v, o weights; no key bias
             ffn = d * 4 * d + 4 * d + 4 * d * d + d
             lns = 4 * d
             return attn + ffn + lns
@@ -368,3 +370,52 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=match) as ei:
             M.read_checkpoint(path)
         assert ei.value.offset == offset
+
+
+def read_or_format_error(path) -> dict | None:
+    """read_checkpoint's records, or None if it raised FormatError; any other error escapes."""
+    try:
+        return M.read_checkpoint(path)
+    except FormatError:
+        return None
+
+
+class TestCheckpointFuzz:
+    """Whatever the bytes, read_checkpoint returns records or raises FormatError."""
+
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        # no_transformer keeps the file at 14 records (3.4 KB), so reading
+        # every truncation of it stays well under a second
+        path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+        M.save_checkpoint(path, M.build_model(tiny_config(ablation="no_transformer"), seed=0))
+        return path
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=256))
+    def test_arbitrary_bytes_after_header(self, ckpt, tail):
+        path = ckpt.with_name("tail.ckpt")
+        path.write_bytes(M.CKPT_MAGIC + struct.pack("<I", M.CKPT_VERSION) + tail)
+        read_or_format_error(path)
+
+    def test_every_truncation(self, ckpt):
+        full = M.read_checkpoint(ckpt)
+        path = ckpt.with_name("truncated.ckpt")
+        path.write_bytes(ckpt.read_bytes())
+        for size in range(os.path.getsize(ckpt) - 1, -1, -1):
+            os.truncate(path, size)
+            records = read_or_format_error(path)
+            # a cut on a record boundary reads as the records before it
+            if records is not None:
+                assert list(records) == list(full)[: len(records)], size
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips(self, ckpt, data):
+        blob = bytearray(ckpt.read_bytes())
+        flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+        for index, mask in data.draw(st.lists(flips, min_size=1, max_size=4)):
+            blob[index] ^= mask
+        path = ckpt.with_name("flipped.ckpt")
+        path.write_bytes(bytes(blob))
+        read_or_format_error(path)

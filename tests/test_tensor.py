@@ -91,8 +91,7 @@ class TestConcat:
         start = 0
         for p in parts:
             stop = start + p.shape[0]
-            piece = T.slice_axis(whole, start, stop, axis=0)
-            np.testing.assert_array_equal(piece.data, p.data)
+            np.testing.assert_array_equal(whole.data[start:stop], p.data)
             start = stop
 
     def test_gradient_routes_to_parts(self):
@@ -161,6 +160,25 @@ class TestBackward:
         backward(lb)
         np.testing.assert_allclose(x1.grad, x2.grad, atol=1e-12)
 
+    def test_only_leaves_hold_grads(self):
+        # d/dw sum(exp(w*x)) = x*exp(w*x), d/dx = w*exp(w*x)
+        w = t64([0.5, -1.0])
+        x = t64([2.0, 3.0])
+        products = w * x
+        exps = T.exp(products)
+        loss = exps.sum()
+        backward(loss)
+        assert products.grad is None and exps.grad is None and loss.grad is None
+        np.testing.assert_allclose(w.grad, x.data * np.exp(w.data * x.data), rtol=1e-12)
+        np.testing.assert_allclose(x.grad, w.data * np.exp(w.data * x.data), rtol=1e-12)
+
+    def test_leaf_loss_gains_one(self):
+        x = t64(2.5)
+        backward(x)
+        assert x.grad == 1.0
+        backward(x)
+        assert x.grad == 2.0
+
     def test_no_grad_records_nothing(self):
         x = t64([1.0])
         with T.no_grad():
@@ -190,6 +208,19 @@ class TestFiniteErrorMessage:
     def test_names_op_shape_and_dtype(self):
         with pytest.raises(NumericsError, match=r"div\.<locals>\.bwd.*\(1,\).*float32"):
             Tensor([1.0]) / Tensor([0.0])
+
+    def test_backward_names_op_shape_and_dtype(self):
+        def nan_grad(t):
+            def poisoned(g):
+                return (np.full(t.shape, np.nan),)
+
+            return T.apply_op(t.data * 2.0, (t,), poisoned)
+
+        x = t64(np.ones((2, 3)))
+        x.grad[...] = 7.0
+        with pytest.raises(NumericsError, match=r"nan_grad\.<locals>\.poisoned.*\(2, 3\).*float64"):
+            backward(nan_grad(x).sum())
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 7.0))
 
 
 class TestBroadcasting:
@@ -272,18 +303,16 @@ class TestPrimitiveGradients:
             ("log", lambda a: T.log(a).sum()),
             ("sqrt", lambda a: T.sqrt(a).sum()),
             ("abs", lambda a: abs(a - 0.9).sum()),
-            ("clip_min", lambda a: T.clip_min(a, 0.9).sum()),
             ("mean", lambda a: a.mean(axis=1).sum()),
             ("sum_axis", lambda a: (a.sum(axis=0, keepdims=True) * 3.0).sum()),
             ("reshape", lambda a: (a.reshape(12) * a.reshape(12)).sum()),
             ("permute", lambda a: (a.permute(1, 0) * 2.0).sum()),
-            ("slice", lambda a: T.slice_axis(a, 1, 3, 0).sum()),
             ("concat", lambda a: concat([a, a * 2.0], axis=1).sum()),
         ],
     )
     def test_unary_ops(self, name, fn):
         rng = np.random.default_rng(hash(name) % 2**32)
-        # keep away from |.| and clip kinks at 0.9
+        # keep away from the |.| kink at 0.9
         vals = rng.uniform(0.4, 1.6, size=40)
         vals = vals[np.abs(vals - 0.9) > 2e-2][:12].reshape(4, 3)
         a = t64(vals)
