@@ -178,30 +178,25 @@ def relu(x: Tensor) -> Tensor:
     return apply_op(x.data * mask, (x,), bwd, check=False)
 
 
-def maxpool3d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping window maximum; gradient goes to each window's first argmax."""
+def maxpool3d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax."""
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [B,C,D,H,W], got {x.shape}")
     B, C, D, H, W = x.shape
-    if D % size or H % size or W % size:
-        raise DimensionError(
-            f"maxpool3d needs extents divisible by {size}, got {(D, H, W)}"
-        )
-    d2, h2, w2 = D // size, H // size, W // size
-    win = size**3
-    cube = x.data.reshape(B, C, d2, size, h2, size, w2, size)
-    flat = np.ascontiguousarray(cube.transpose(0, 1, 2, 4, 6, 3, 5, 7)).reshape(
-        B, C, d2, h2, w2, win
-    )
-    arg = flat.argmax(axis=-1)  # np.argmax keeps the first index on ties
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    if D % 2 or H % 2 or W % 2:
+        raise DimensionError(f"maxpool3d needs extents divisible by 2, got {(D, H, W)}")
+    d2, h2, w2 = D // 2, H // 2, W // 2
+    cube = x.data.reshape(B, C, d2, 2, h2, 2, w2, 2)
+    flat = np.ascontiguousarray(cube.transpose(0, 1, 2, 4, 6, 3, 5, 7)).reshape(B, C, d2, h2, w2, 8)
+    # np.argmax keeps the first index on ties; the index is < 8, and the
+    # backward keeps only it, so `flat` is freed once the forward returns
+    arg = flat.argmax(axis=-1)[..., None].astype(np.uint8)
+    out_data = np.take_along_axis(flat, arg, axis=-1)[..., 0]
 
     def bwd(g):
-        dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
-        dcube = dflat.reshape(B, C, d2, h2, w2, size, size, size).transpose(
-            0, 1, 2, 5, 3, 6, 4, 7
-        )
+        dflat = np.zeros((B, C, d2, h2, w2, 8), x.dtype)
+        np.put_along_axis(dflat, arg, g[..., None], axis=-1)
+        dcube = dflat.reshape(B, C, d2, h2, w2, 2, 2, 2).transpose(0, 1, 2, 5, 3, 6, 4, 7)
         return (np.ascontiguousarray(dcube).reshape(B, C, D, H, W),)
 
     return apply_op(np.ascontiguousarray(out_data), (x,), bwd, check=False)

@@ -51,7 +51,6 @@ class ModelConfig:
     embed_dim: tuple = (32, 64)
     depth: tuple = (2, 2)
     heads: tuple = (4, 4)
-    label_bins: int = N_BINS
     ablation: str = "full"  # full | no_cnn | no_transformer
     conv_order: str = "relu_bn"  # relu_bn follows the block equation; bn_relu is the conventional alternative
 
@@ -66,8 +65,6 @@ class ModelConfig:
                 raise ConfigError(
                     f"{name} has {len(getattr(self, name))} entries for {n} fusion blocks"
                 )
-        if self.label_bins != N_BINS:
-            raise ConfigError(f"label_bins must be {N_BINS} (ages 14..97), got {self.label_bins}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.conv_order not in ("relu_bn", "bn_relu"):
@@ -151,7 +148,7 @@ def cnn_block(x: Tensor, p: CnnBlockParams, order: str = "relu_bn") -> Tensor:
         h = batchnorm3d(relu(h), p.bn)
     else:
         h = relu(batchnorm3d(h, p.bn))
-    return maxpool3d(h, 2)
+    return maxpool3d(h)
 
 
 def llb_forward(x: Tensor, blocks, order: str = "relu_bn") -> Tensor:
@@ -352,8 +349,8 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
         blocks.append(FusionBlock(llb, glb_cfg, glb, out_channels))
         shape = tuple(s // 4 for s in shape)
         channels = out_channels
-    head_w = store.xavier("head.w", channels, cfg.label_bins)
-    head_b = store.zeros("head.b", cfg.label_bins)
+    head_w = store.xavier("head.w", channels, N_BINS)
+    head_b = store.zeros("head.b", N_BINS)
     return GLDN(cfg, store, blocks, head_w, head_b)
 
 

@@ -13,6 +13,12 @@ channel axes into token order with a single permutation; `detokenize` applies
 its inverse. Besides the 2x2 gather of `patch_merge`, a part moves its volume
 once on the way in and once on the way out.
 
+The part plan (`SptPartConfig`, laid out by `plan_spt`) is the only source of
+shapes inside a part. `spt_part_forward` checks its input against the plan
+once. The steps it calls take their shapes from the plan and check nothing:
+`resolve_patch` guarantees that the patch splits both in-slice extents into an
+even token grid.
+
 Patch sizes adapt per part: a part uses the largest power-of-two patch edge
 <= the requested one for which both in-slice extents split into an even token
 grid (merging needs even grid sides). For 96x112x96 at patch 8 this resolves
@@ -145,17 +151,9 @@ def tokenize(x: Tensor, axis: int, patch: int) -> Tensor:
     One token sequence per slice (batch-major); patches in row-major order
     over the slice, each flattened in (row, column, channel) order.
     """
-    if x.ndim != 5:
-        raise DimensionError(f"tokenize expects rank 5, got {x.shape}")
-    if axis not in (0, 1, 2):
-        raise DimensionError(f"axis must be 0, 1 or 2, got {axis}")
     b, c = x.shape[:2]
     extent = x.shape[2 + axis]
-    inslice = [e for a, e in enumerate(x.shape[2:]) if a != axis]
-    for e in inslice:
-        if e % patch:
-            raise DimensionError(f"patch {patch} does not divide in-slice extent {e}")
-    grid = [e // patch for e in inslice]
+    grid = [e // patch for a, e in enumerate(x.shape[2:]) if a != axis]
     split = [(g, patch) for g in grid]
     split.insert(axis, (extent,))
     t = reshape(x, (b, c) + sum(split, ()))
@@ -165,26 +163,13 @@ def tokenize(x: Tensor, axis: int, patch: int) -> Tensor:
 
 def detokenize(tokens: Tensor, axis: int, grid: tuple[int, int], patch: int, batch: int) -> Tensor:
     """Inverse of tokenize: [B*S, gh*gw, p*p*C] -> [B,C,D,H,W]."""
-    n, count, dim = tokens.shape
-    if n % batch or count != grid[0] * grid[1] or dim % (patch * patch):
-        raise DimensionError(
-            f"tokens {tokens.shape} do not fill batch {batch}, grid {grid}, patch {patch}"
-        )
+    n, _, dim = tokens.shape
     extent, c = n // batch, dim // (patch * patch)
     t = reshape(tokens, (batch, extent, grid[0], grid[1], patch, patch, c))
     t = permute_axes(t, np.argsort(_TOKEN_PERM[axis]))
     volume = [g * patch for g in grid]
     volume.insert(axis, extent)
     return reshape(t, (batch, c) + tuple(volume))
-
-
-def embed_tokens(tokens: Tensor, proj_w: Tensor, proj_b: Tensor, pos: Tensor) -> Tensor:
-    """Linear projection plus a learned positional table shared across slices."""
-    if tokens.shape[-2] != pos.shape[0]:
-        raise DimensionError(
-            f"positional table covers {pos.shape[0]} tokens, input has {tokens.shape[-2]}"
-        )
-    return linear(tokens, proj_w, proj_b) + pos
 
 
 def patch_merge(
@@ -197,56 +182,41 @@ def patch_merge(
 ) -> Tensor:
     """Concatenate each 2x2 token neighborhood, layer-norm, project 4d -> 2d."""
     gh, gw = grid
-    if gh % 2 or gw % 2:
-        raise DimensionError(f"patch_merge needs an even grid, got {grid}")
-    n, count, d = tokens.shape
-    if count != gh * gw:
-        raise DimensionError(f"{count} tokens do not fill grid {grid}")
+    n, _, d = tokens.shape
     t = reshape(tokens, (n, gh // 2, 2, gw // 2, 2, d))
     t = permute_axes(t, (0, 1, 3, 2, 4, 5))  # [N, gh/2, gw/2, 2, 2, d]
     t = reshape(t, (n, (gh // 2) * (gw // 2), 4 * d))
     return linear(layer_norm(t, ln_gamma, ln_beta), w, b)
 
 
-def de_patchify(
-    merged: Tensor, grid_half: tuple[int, int], patch: int, out_channels: int, w: Tensor, b: Tensor
-) -> Tensor:
-    """Project each merged token to the p*p*C_out values of its p x p block of
-    the half-resolution slice: [N, gh2*gw2, 2d] -> [N, gh2*gw2, p*p*C_out]."""
-    count = merged.shape[1]
-    if count != grid_half[0] * grid_half[1]:
-        raise DimensionError(f"{count} merged tokens do not fill grid {grid_half}")
-    if w.shape[1] != patch * patch * out_channels:
-        raise DimensionError(
-            f"de-patchify projection maps to {w.shape[1]}, need {patch * patch * out_channels}"
-        )
-    return linear(merged, w, b)
-
-
 # -- forward ----------------------------------------------------------------------
 
 
 def spt_part_forward(x: Tensor, cfg: SptPartConfig, params: SptPartParams) -> Tensor:
-    """One view: tokenize the slices, encode, merge, rebuild at half in-slice scale."""
-    batch = x.shape[0]
-    if x.shape[1] != cfg.in_channels:
+    """One view: tokenize the slices, encode, merge, rebuild at half in-slice scale.
+
+    The part's only shape check: `x` must be [B, in_channels, D, H, W] with the
+    planned in-slice extents. Every later shape comes from `cfg`.
+    """
+    if (
+        x.ndim != 5
+        or x.shape[1] != cfg.in_channels
+        or tuple(x.shape[2 + a] for a in (0, 1, 2) if a != cfg.axis) != cfg.slice_hw
+    ):
         raise DimensionError(
-            f"part {cfg.axis} expects {cfg.in_channels} channels, got {x.shape[1]}"
+            f"part {cfg.axis} ({VIEW_NAMES[cfg.axis]}) expects [B, {cfg.in_channels}, D, H, W]"
+            f" with in-slice extents {cfg.slice_hw}, got {x.shape}"
         )
-    if tuple(x.shape[2 + a] for a in (0, 1, 2) if a != cfg.axis) != cfg.slice_hw:
-        raise DimensionError(
-            f"part {cfg.axis} planned for in-slice {cfg.slice_hw}, got volume {x.shape}"
-        )
-    tokens = tokenize(x, cfg.axis, cfg.patch)
-    tokens = embed_tokens(tokens, params.proj_w, params.proj_b, params.pos)
+    tokens = linear(tokenize(x, cfg.axis, cfg.patch), params.proj_w, params.proj_b) + params.pos
     for layer in params.encoder:
         tokens = transformer_encoder_layer(tokens, layer)
     merged = patch_merge(
         tokens, cfg.grid, params.merge_ln_gamma, params.merge_ln_beta, params.merge_w, params.merge_b
     )
+    # each merged token becomes the p x p block of its half-resolution slice
+    blocks = linear(merged, params.depatch_w, params.depatch_b)
     half = (cfg.grid[0] // 2, cfg.grid[1] // 2)
-    blocks = de_patchify(merged, half, cfg.patch, cfg.out_channels, params.depatch_w, params.depatch_b)
-    return detokenize(blocks, cfg.axis, half, cfg.patch, batch)
+    return detokenize(blocks, cfg.axis, half, cfg.patch, x.shape[0])
 
 
 def spt_forward(x: Tensor, cfg: SptConfig, params: list[SptPartParams]) -> Tensor:

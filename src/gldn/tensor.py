@@ -111,9 +111,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)
@@ -148,12 +145,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __abs__(self):
-        return absolute(self)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -164,14 +155,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def permute(self, *perm):
-        if len(perm) == 1 and isinstance(perm[0], (tuple, list)):
-            perm = tuple(perm[0])
-        return permute_axes(self, perm)
-
-    def backward(self):
-        backward(self)
 
 
 def as_tensor(value, like: Tensor | None = None) -> Tensor:
@@ -199,6 +182,14 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> T
     return Tensor._from_op(out_data, requires, node)
 
 
+def _fit(np_fn, *args):
+    """Apply a numpy shape-taking op; shapes it cannot combine raise DimensionError."""
+    try:
+        return np_fn(*args)
+    except ValueError as e:
+        raise DimensionError(f"{np_fn.__name__}: {e}") from e
+
+
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     extra = grad.ndim - len(shape)
@@ -220,7 +211,7 @@ def add(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return apply_op(a.data + b.data, (a, b), bwd)
+    return apply_op(_fit(np.add, a.data, b.data), (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -230,7 +221,7 @@ def sub(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return apply_op(a.data - b.data, (a, b), bwd)
+    return apply_op(_fit(np.subtract, a.data, b.data), (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -240,7 +231,7 @@ def mul(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return apply_op(a.data * b.data, (a, b), bwd)
+    return apply_op(_fit(np.multiply, a.data, b.data), (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
@@ -253,7 +244,7 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = a.data / b.data
+        out_data = _fit(np.divide, a.data, b.data)
     return apply_op(out_data, (a, b), bwd)
 
 
@@ -288,14 +279,6 @@ def sqrt(a: Tensor) -> Tensor:
     return apply_op(out_data, (a,), bwd)
 
 
-def absolute(a: Tensor) -> Tensor:
-    # subgradient at 0 is 0, matching relu's convention
-    def bwd(g):
-        return (g * np.sign(a.data),)
-
-    return apply_op(np.abs(a.data), (a,), bwd, check=False)
-
-
 # -- reductions ---------------------------------------------------------------
 
 
@@ -316,7 +299,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
 
-    return apply_op(np.asarray(out_data), (a,), bwd, check=False)
+    return apply_op(np.asarray(out_data), (a,), bwd)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -332,7 +315,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g * inv, a.shape).astype(a.data.dtype, copy=False),)
 
-    return apply_op(np.asarray(out_data), (a,), bwd, check=False)
+    return apply_op(np.asarray(out_data), (a,), bwd)
 
 
 # -- structural ops -----------------------------------------------------------
@@ -377,7 +360,7 @@ def permute_axes(a: Tensor, perm) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    out_data = a.data.reshape(shape)
+    out_data = _fit(np.reshape, a.data, shape)
 
     def bwd(g):
         return (g.reshape(a.shape),)

@@ -18,6 +18,12 @@ def build_plan(shape, channels=1, patch=8, d=32, depth=2, heads=4, out=8):
     return S.plan_spt(shape, channels, patch, d, depth, heads, out)
 
 
+def tiny_part():
+    """Part 0 planned for an [*, 1, 8, 8, 16] input (patch 2, d 8), and its params."""
+    part = build_plan((8, 8, 16), patch=2, d=8, depth=1, heads=2, out=4).parts[0]
+    return part, part_params(3, part)[0]
+
+
 def roundtrip(x, axis, patch):
     b, _, *spatial = x.shape
     grid = tuple(e // patch for a, e in enumerate(spatial) if a != axis)
@@ -53,14 +59,6 @@ class TestSliceView:
         assert S.tokenize(x, 1, 1).shape == (12, 16, 8)
         assert S.tokenize(x, 1, 2).shape == (12, 4, 32)
 
-    def test_rank_checked(self):
-        with pytest.raises(DimensionError, match="rank 5"):
-            S.tokenize(Tensor(np.zeros((2, 3, 4, 5))), 0, 1)
-        with pytest.raises(DimensionError, match="axis"):
-            S.tokenize(Tensor(np.zeros((1, 1, 2, 2, 2))), 3, 1)
-        with pytest.raises(DimensionError, match="batch 2"):
-            S.detokenize(Tensor(np.zeros((3, 4, 2))), 0, (2, 2), 1, 2)
-
 
 class TestPatchSplit:
     """The patching half of tokenize/detokenize."""
@@ -90,10 +88,6 @@ class TestPatchSplit:
         assert tokens[0, 0].sum() == 1.0 and tokens[0, 1].sum() == 2.0
         assert tokens[0, 2:].sum() == 0.0 and tokens[1].sum() == 0.0
 
-    def test_indivisible_rejected(self):
-        with pytest.raises(DimensionError, match="extent 5"):
-            S.tokenize(Tensor(np.zeros((1, 1, 2, 5, 8))), 0, 2)
-
     @pytest.mark.parametrize(
         "shape, axis, patch",
         [
@@ -112,27 +106,18 @@ class TestPatchSplit:
 
 
 class TestEmbedTokens:
-    def test_zero_projection_broadcasts_pos(self):
-        rng = np.random.default_rng(3)
-        tokens = Tensor(rng.normal(size=(5, 6, 4)).astype(np.float32))
-        pos = Tensor(rng.normal(size=(6, 3)).astype(np.float32))
-        out = S.embed_tokens(
-            tokens, Tensor(np.zeros((4, 3), dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32)), pos
-        )
-        np.testing.assert_array_equal(out.data, np.broadcast_to(pos.data, (5, 6, 3)))
-
     def test_shape_contract(self):
-        tokens = Tensor(np.zeros((96, 168, 64), dtype=np.float32))
-        out = S.embed_tokens(
-            tokens,
-            Tensor(np.zeros((64, 32), dtype=np.float32)),
-            Tensor(np.zeros(32, dtype=np.float32)),
-            Tensor(np.zeros((168, 32), dtype=np.float32)),
-        )
-        assert out.shape == (96, 168, 32)
+        # the part has no pos-table check of its own: the add rejects a table
+        # whose rows do not match the token count
+        part, params = tiny_part()
+        x = Tensor(np.zeros((2, 1, 8, 8, 16), dtype=np.float32))
+        assert S.spt_part_forward(x, part, params).shape == (2, 4, 8, 4, 8)
+        params.pos = Tensor(np.zeros((part.n_tokens // 2, 8), dtype=np.float32))
+        with pytest.raises(DimensionError, match="add"):
+            S.spt_part_forward(x, part, params)
 
     def test_disabling_pos_gives_token_permutation_equivariance(self):
-        from gldn.layers import transformer_encoder_layer
+        from gldn.layers import linear, transformer_encoder_layer
 
         rng = np.random.default_rng(4)
         plan = build_plan((8, 8, 8), patch=2, d=8, depth=1, heads=2)
@@ -141,7 +126,7 @@ class TestEmbedTokens:
         params.pos.data[:] = 0.0
 
         def encode(tok):
-            t = S.embed_tokens(Tensor(tok), params.proj_w, params.proj_b, params.pos)
+            t = linear(Tensor(tok), params.proj_w, params.proj_b) + params.pos
             for layer in params.encoder:
                 t = transformer_encoder_layer(t, layer)
             return t.data
@@ -177,30 +162,12 @@ class TestPatchMerge:
         for row in out.reshape(-1, 2 * d):
             np.testing.assert_allclose(row, out.reshape(-1, 2 * d)[0], atol=1e-6)
 
-    def test_odd_grid_rejected(self):
-        d = 4
-        tokens = Tensor(np.zeros((1, 12, d), dtype=np.float32))
-        with pytest.raises(DimensionError, match="even"):
-            S.patch_merge(tokens, (3, 4), *self.merge_params(d))
-
 
 class TestDePatchify:
     def test_full_scale_part1_shape(self):
-        d = 32
-        merged = Tensor(np.zeros((96, 7 * 6, 2 * d), dtype=np.float32))
-        w = Tensor(np.zeros((2 * d, 8 * 8 * 8), dtype=np.float32))
-        b = Tensor(np.zeros(8 * 8 * 8, dtype=np.float32))
-        out = S.de_patchify(merged, (7, 6), 8, 8, w, b)
-        assert out.shape == (96, 42, 512)
-        assert S.detokenize(out, 0, (7, 6), 8, batch=1).shape == (1, 8, 96, 56, 48)
-
-    def test_zero_projection_annihilates(self):
-        merged = Tensor(np.random.default_rng(0).normal(size=(2, 6, 8)).astype(np.float32))
-        w = Tensor(np.zeros((8, 4), dtype=np.float32))
-        b = Tensor(np.zeros(4, dtype=np.float32))
-        out = S.de_patchify(merged, (2, 3), 2, 1, w, b)
-        np.testing.assert_array_equal(out.data, 0.0)
-        assert S.detokenize(out, 0, (2, 3), 2, batch=1).shape == (1, 1, 2, 4, 6)
+        # 96 slices of 7x6 merged tokens, each projected to an 8x8 block of 8 channels
+        blocks = Tensor(np.zeros((96, 7 * 6, 8 * 8 * 8), dtype=np.float32))
+        assert S.detokenize(blocks, 0, (7, 6), 8, batch=1).shape == (1, 8, 96, 56, 48)
 
     def test_voxel_budget_quartered(self):
         # in-slice voxels after a part = 1/4 of the part input per slice per channel
@@ -250,15 +217,30 @@ class TestSptPartForward:
         out = S.spt_part_forward(x, plan.parts[0], params)
         assert out.shape == (1, 8, 32, 24, 16)
 
+    def test_rank_checked(self):
+        part, params = tiny_part()
+        with pytest.raises(DimensionError, match=r"part 0 \(sagittal\).*\(2, 1, 8, 8\)"):
+            S.spt_part_forward(Tensor(np.zeros((2, 1, 8, 8), dtype=np.float32)), part, params)
+
+    def test_channels_checked(self):
+        part, params = tiny_part()
+        with pytest.raises(DimensionError, match=r"part 0 \(sagittal\) expects \[B, 1,"):
+            S.spt_part_forward(Tensor(np.zeros((2, 3, 8, 8, 16), dtype=np.float32)), part, params)
+
+    def test_indivisible_rejected(self):
+        # patch 2 does not divide the in-slice extent 5
+        part, params = tiny_part()
+        with pytest.raises(DimensionError, match=r"in-slice extents \(8, 16\)"):
+            S.spt_part_forward(Tensor(np.zeros((2, 1, 8, 5, 16), dtype=np.float32)), part, params)
+
     def test_one_permutation_each_way(self, monkeypatch):
         # tokenize, patch_merge's 2x2 gather and detokenize; the encoder's
         # head split lives in layers and is not counted
         calls = []
         real = S.permute_axes
         monkeypatch.setattr(S, "permute_axes", lambda t, perm: calls.append(perm) or real(t, perm))
-        plan = build_plan((8, 8, 16), patch=2, d=8, depth=1, heads=2, out=4)
-        params, _ = part_params(3, plan.parts[0])
-        S.spt_part_forward(Tensor(np.zeros((2, 1, 8, 8, 16), dtype=np.float32)), plan.parts[0], params)
+        part, params = tiny_part()
+        S.spt_part_forward(Tensor(np.zeros((2, 1, 8, 8, 16), dtype=np.float32)), part, params)
         assert len(calls) == 3
 
     def test_sliced_axis_untouched(self):

@@ -1,5 +1,7 @@
 """Autodiff core: primitives, backward semantics, gradient checking."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,14 @@ class TestFiniteChecks:
         with pytest.raises(ValueError, match="positive"):
             Tensor(np.zeros((2, 0, 3)))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_reduction_overflow_surfaces(self):
+        x = Tensor(np.full(4, 3e38, np.float32), requires_grad=True)
+        with pytest.raises(NumericsError, match="tsum"):
+            x.sum()
+        with pytest.raises(NumericsError, match="tmean"):
+            x.mean()
+
 
 class TestFiniteErrorMessage:
     def test_names_op_shape_and_dtype(self):
@@ -234,6 +244,17 @@ class TestBroadcasting:
         x = t64([1.0, 2.0])
         backward((x * 3.0).sum())
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+class TestShapeErrors:
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    def test_elementwise_incompatible(self, op):
+        with pytest.raises(DimensionError, match=r"\(3,\).*\(4,\)"):
+            op(Tensor(np.ones(3)), Tensor(np.ones(4)))
+
+    def test_reshape_wrong_size(self):
+        with pytest.raises(DimensionError, match=r"size 6.*\(4,\)"):
+            T.reshape(Tensor(np.ones((2, 3))), (4,))
 
 
 class TestGradCheck:
@@ -288,7 +309,7 @@ class TestPrimitiveGradients:
         ],
     )
     def test_binary_ops(self, name, fn):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         a = t64(rng.uniform(0.5, 1.5, size=(4, 3)))
         b = t64(rng.uniform(0.5, 1.5, size=(4, 3)))
         wrapped = lambda a, b: fn(a, b) * fn(a, b)  # exercise shared subgraphs too
@@ -302,20 +323,16 @@ class TestPrimitiveGradients:
             ("exp", lambda a: T.exp(a).sum()),
             ("log", lambda a: T.log(a).sum()),
             ("sqrt", lambda a: T.sqrt(a).sum()),
-            ("abs", lambda a: abs(a - 0.9).sum()),
             ("mean", lambda a: a.mean(axis=1).sum()),
             ("sum_axis", lambda a: (a.sum(axis=0, keepdims=True) * 3.0).sum()),
             ("reshape", lambda a: (a.reshape(12) * a.reshape(12)).sum()),
-            ("permute", lambda a: (a.permute(1, 0) * 2.0).sum()),
+            ("permute", lambda a: (permute_axes(a, (1, 0)) * 2.0).sum()),
             ("concat", lambda a: concat([a, a * 2.0], axis=1).sum()),
         ],
     )
     def test_unary_ops(self, name, fn):
-        rng = np.random.default_rng(hash(name) % 2**32)
-        # keep away from the |.| kink at 0.9
-        vals = rng.uniform(0.4, 1.6, size=40)
-        vals = vals[np.abs(vals - 0.9) > 2e-2][:12].reshape(4, 3)
-        a = t64(vals)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        a = t64(rng.uniform(0.4, 1.6, size=(4, 3)))
         (res,) = grad_check(fn, [a], tol=1e-6)
         assert res.passed, (name, res)
 
