@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DimensionError
-from .tensor import Tensor, _unbroadcast, apply_op, matmul, permute_axes, reshape
+from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, permute_axes, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -146,6 +146,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     wm = p.weight.data.reshape(c_out, c_in * 27)
     bias = p.bias.data.reshape(1, -1, 1, 1, 1)
     slabs = _slabs(x.data)
+    need_dx = x.requires_grad  # no dX for a constant input
     out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
     for d0, d1 in slabs:
         y = (wm @ _cols(xp, d0, d1)).reshape(c_out, B, d1 - d0, H, W)
@@ -153,7 +154,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
 
     def bwd(g):
         dw = np.zeros_like(wm)
-        dxp = np.zeros_like(xp) if x.requires_grad else None  # no dX for a constant input
+        dxp = np.zeros_like(xp) if need_dx else None
         for d0, d1 in slabs:
             gs = g[:, :, d0:d1].transpose(1, 0, 2, 3, 4).reshape(c_out, -1)
             dw += gs @ _cols(xp, d0, d1).T
@@ -186,6 +187,7 @@ def maxpool3d(x: Tensor) -> Tensor:
     if D % 2 or H % 2 or W % 2:
         raise DimensionError(f"maxpool3d needs extents divisible by 2, got {(D, H, W)}")
     d2, h2, w2 = D // 2, H // 2, W // 2
+    dtype = x.dtype
     cube = x.data.reshape(B, C, d2, 2, h2, 2, w2, 2)
     flat = np.ascontiguousarray(cube.transpose(0, 1, 2, 4, 6, 3, 5, 7)).reshape(B, C, d2, h2, w2, 8)
     # np.argmax keeps the first index on ties; the index is < 8, and the
@@ -194,7 +196,7 @@ def maxpool3d(x: Tensor) -> Tensor:
     out_data = np.take_along_axis(flat, arg, axis=-1)[..., 0]
 
     def bwd(g):
-        dflat = np.zeros((B, C, d2, h2, w2, 8), x.dtype)
+        dflat = np.zeros((B, C, d2, h2, w2, 8), dtype)
         np.put_along_axis(dflat, arg, g[..., None], axis=-1)
         dcube = dflat.reshape(B, C, d2, h2, w2, 2, 2, 2).transpose(0, 1, 2, 5, 3, 6, 4, 7)
         return (np.ascontiguousarray(dcube).reshape(B, C, D, H, W),)
@@ -211,7 +213,7 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, stats=No
     constants. gamma and beta broadcast against x. Returns the output and the
     (mean, var) used, reduced with keepdims.
     """
-    axes = tuple(a % x.ndim for a in axes)
+    axes = _normalize_axes(axes, x.ndim)
     if stats is None:
         mean = x.data.mean(axis=axes, keepdims=True)
         xhat = x.data - mean
@@ -268,15 +270,7 @@ def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x [*, in] @ w [in, out] + b [out]; leading axes ride along."""
-    if x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear mismatch: {x.shape} x {w.shape}")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, x.shape[0]))
-    out = matmul(x, w) + b
-    if squeeze:
-        out = reshape(out, (out.shape[-1],))
-    return out
+    return matmul(x, w) + b
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

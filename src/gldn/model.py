@@ -159,7 +159,7 @@ def llb_forward(x: Tensor, blocks, order: str = "relu_bn") -> Tensor:
 def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
     """Channel concatenation, local stream first; ablated streams pass None."""
     if local is None and global_ is None:
-        raise ValueError("aggregate of two absent streams")
+        raise ConfigError("aggregate of two absent streams")
     if local is None:
         return global_
     if global_ is None:
@@ -192,7 +192,6 @@ class GLDN:
         self.blocks: list[FusionBlock] = blocks
         self.head_w = head_w
         self.head_b = head_b
-        self.dtype = store.dtype
 
     # -- forward --
 
@@ -222,15 +221,8 @@ class GLDN:
     def parameters(self) -> dict[str, Tensor]:
         return self.store.params
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return self.store.buffers
-
     def num_parameters(self) -> int:
         return sum(t.size for t in self.store.params.values())
-
-    def zero_grad(self):
-        for t in self.store.params.values():
-            t.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {name: t.data for name, t in self.store.params.items()}

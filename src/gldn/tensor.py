@@ -1,17 +1,20 @@
 """Dense N-d tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a contiguous numpy buffer (float32 by default, float64 for
-gradient checking). Differentiable operations record a node holding the
-input references and a backward rule; `backward(loss)` replays the nodes in
-exact reverse creation order, summing gradients over all paths. Gradients
-land only on leaves (parameters and inputs created with requires_grad); op
-outputs pass theirs on and keep none. Forward outputs and the gradients that
-reach leaves are checked for NaN/Inf, and non-finite values raise
-NumericsError at the op that produced them.
+gradient checking). Differentiable operations record a node holding edges to
+its parents (the nodes that produced its inputs, or the leaf inputs that
+require grad) and a backward rule that captures only what it reads, so an op
+output lives only while a rule reads it or the caller holds it.
+`backward(loss)` replays the nodes in exact reverse creation order, summing
+gradients over all paths. Gradients land only on leaves (parameters and
+inputs created with requires_grad); op outputs pass theirs on and keep none.
+Forward outputs and the gradients that reach leaves are checked for NaN/Inf,
+and non-finite values raise NumericsError at the op that produced them.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,19 +42,22 @@ def no_grad():
 
 
 class TapeNode:
-    """One recorded primitive application: inputs plus a backward rule.
+    """One recorded primitive application: parent edges plus a backward rule.
 
-    `backward_fn(grad_out) -> tuple of grads aligned with inputs` (entries may
-    be None for non-differentiable arguments). `order` is a globally
-    increasing creation index; reverse traversal processes every consumer of
-    a tensor before the tensor itself, which is what makes plain `+=`
-    accumulation correct for shared inputs.
+    `parents[i]` is the node that produced input i, the input itself if it is
+    a leaf that requires grad, or None if no gradient flows to it.
+    `backward_fn(grad_out) -> tuple of grads aligned with the inputs` (entries
+    may be None for non-differentiable arguments). `order` is a globally
+    increasing creation index; a parent is always older than its consumers,
+    so reverse traversal processes every consumer of a node before the node
+    itself, which is what makes plain `+=` accumulation correct for shared
+    inputs.
     """
 
-    __slots__ = ("inputs", "backward_fn", "order")
+    __slots__ = ("parents", "backward_fn", "order")
 
-    def __init__(self, inputs, backward_fn):
-        self.inputs = inputs
+    def __init__(self, parents, backward_fn):
+        self.parents = parents
         self.backward_fn = backward_fn
         self.order = next(_node_counter)
 
@@ -69,7 +75,7 @@ class Tensor:
                 dtype = DEFAULT_DTYPE
         arr = np.ascontiguousarray(data, dtype=dtype)
         if any(n <= 0 for n in arr.shape):
-            raise ValueError(f"tensor extents must be positive, got shape {arr.shape}")
+            raise DimensionError(f"tensor extents must be positive, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NumericsError("tensor constructed with non-finite values")
         self.data = arr
@@ -108,7 +114,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.shape}")
+            raise DimensionError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
     def zero_grad(self):
@@ -178,8 +184,10 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> T
             f" (output shape {out_data.shape}, dtype {out_data.dtype})"
         )
     requires = _grad_enabled and any(t.requires_grad for t in inputs)
-    node = TapeNode(tuple(inputs), backward_fn) if requires else None
-    return Tensor._from_op(out_data, requires, node)
+    if not requires:
+        return Tensor._from_op(out_data, False, None)
+    parents = tuple(t._node or (t if t.requires_grad else None) for t in inputs)
+    return Tensor._from_op(out_data, True, TapeNode(parents, backward_fn))
 
 
 def _fit(np_fn, *args):
@@ -207,9 +215,10 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, like=a)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return apply_op(_fit(np.add, a.data, b.data), (a, b), bwd)
 
@@ -217,9 +226,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, like=a)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return apply_op(_fit(np.subtract, a.data, b.data), (a, b), bwd)
 
@@ -283,21 +293,26 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def _normalize_axes(axis, ndim):
+    """Axes as non-negative ints; an axis outside [-ndim, ndim) raises DimensionError."""
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
+    for a in axis:
+        if not -ndim <= a < ndim:
+            raise DimensionError(f"axis {a} out of range for rank {ndim}")
     return tuple(a % ndim for a in axis)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axis, a.ndim)
     out_data = a.data.sum(axis=axes, keepdims=keepdims)
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return apply_op(np.asarray(out_data), (a,), bwd)
 
@@ -309,11 +324,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count *= a.shape[ax]
     out_data = a.data.mean(axis=axes, keepdims=keepdims)
     inv = 1.0 / count
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g * inv, a.shape).astype(a.data.dtype, copy=False),)
+        return (np.broadcast_to(g * inv, shape).astype(dtype, copy=False),)
 
     return apply_op(np.asarray(out_data), (a,), bwd)
 
@@ -331,10 +347,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
-    try:
-        out_data = np.matmul(a.data, b.data)
-    except ValueError as e:  # non-broadcastable batch extents
-        raise DimensionError(f"matmul batch extents differ: {a.shape} x {b.shape}") from e
+    out_data = _fit(np.matmul, a.data, b.data)  # non-broadcastable batch extents raise
 
     def bwd(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
@@ -347,7 +360,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def permute_axes(a: Tensor, perm) -> Tensor:
     perm = tuple(perm)
     if sorted(perm) != list(range(a.ndim)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{a.ndim - 1}")
+        raise DimensionError(f"perm {perm} is not a permutation of 0..{a.ndim - 1}")
     inverse = np.argsort(perm)
     # materialize a contiguous copy: storage stays row-major by construction
     out_data = np.ascontiguousarray(np.transpose(a.data, perm))
@@ -361,9 +374,10 @@ def permute_axes(a: Tensor, perm) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out_data = _fit(np.reshape, a.data, shape)
+    in_shape = a.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
     return apply_op(out_data, (a,), bwd, check=False)
 
@@ -371,9 +385,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def concat(parts, axis: int) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
-        raise ValueError("concat of zero parts")
+        raise DimensionError("concat of zero parts")
     rank = parts[0].ndim
-    axis = axis % rank
+    (axis,) = _normalize_axes(axis, rank)
     for p in parts[1:]:
         if p.ndim != rank:
             raise DimensionError(
@@ -415,36 +429,28 @@ def backward(loss: Tensor):
         loss.grad += 1
         return
 
-    # Collect the op outputs the loss depends on; leaves are not visited.
-    seen: dict[int, Tensor] = {}
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen[id(t)] = t
-        for inp in t._node.inputs:
-            if inp._node is not None and id(inp) not in seen:
-                stack.append(inp)
-
-    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for t in sorted(seen.values(), key=lambda t: t._node.order, reverse=True):
-        g = flow.pop(id(t), None)
-        if g is None:
-            continue
-        node = t._node
-        for inp, gi in zip(node.inputs, node.backward_fn(g)):
-            if gi is None or not inp.requires_grad:
+    # Max-heap on creation order: a node is pushed when it first gets a
+    # gradient and popped only after all its consumers, which are newer.
+    flow = {loss._node: np.ones_like(loss.data)}
+    heap = [(-loss._node.order, loss._node)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        for parent, gi in zip(node.parents, node.backward_fn(flow.pop(node))):
+            if gi is None or parent is None:
                 continue
-            if inp._node is not None:
-                acc = flow.get(id(inp))
-                flow[id(inp)] = gi if acc is None else acc + gi
+            if type(parent) is TapeNode:
+                acc = flow.get(parent)
+                if acc is None:
+                    flow[parent] = gi
+                    heapq.heappush(heap, (-parent.order, parent))
+                else:
+                    flow[parent] = acc + gi
             elif np.all(np.isfinite(gi)):
-                inp.grad += gi
+                parent.grad += gi
             else:
                 raise NumericsError(
                     f"non-finite gradient produced by backward op {node.backward_fn.__qualname__}"
-                    f" (leaf shape {inp.shape}, dtype {inp.dtype})"
+                    f" (leaf shape {parent.shape}, dtype {parent.dtype})"
                 )
 
 

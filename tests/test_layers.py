@@ -327,12 +327,12 @@ def layer_norm_composite(x, gamma, beta, eps=1e-5):
 
 def tape_nodes(out):
     """Number of tape nodes that `out` depends on."""
-    seen, stack = set(), [out]
+    seen, stack = set(), [out._node]
     while stack:
-        t = stack.pop()
-        if t._node is not None and id(t) not in seen:
-            seen.add(id(t))
-            stack.extend(t._node.inputs)
+        node = stack.pop()
+        if isinstance(node, T.TapeNode) and node not in seen:
+            seen.add(node)
+            stack.extend(node.parents)
     return len(seen)
 
 
@@ -383,6 +383,13 @@ class TestNormalize:
             err = np.abs(a - r).max()
             assert err <= 1e-5 * np.abs(r).max(), (name, err)
 
+    def test_axis_out_of_range(self):
+        x = Tensor(np.ones((2, 3, 4), dtype=np.float32))
+        gamma, beta = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+        for axes in ((5,), (-4,), (0, 3)):
+            with pytest.raises(DimensionError, match="out of range"):
+                L.normalize(x, gamma, beta, axes, 1e-5)
+
     def test_grad_check_bn_eval(self):
         rng = np.random.default_rng(51)
         x, s = bn_case(rng, training=False, dtype=np.float64)
@@ -404,8 +411,8 @@ class TestLinear:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_hand_case(self):
-        out = L.linear(Tensor([1.0, 2.0]), Tensor([[1.0], [1.0]]), Tensor([0.0]))
-        np.testing.assert_array_equal(out.data, [3.0])
+        out = L.linear(Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([0.0]))
+        np.testing.assert_array_equal(out.data, [[3.0]])
 
     def test_shape_contract(self):
         out = L.linear(

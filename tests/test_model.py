@@ -115,6 +115,10 @@ class TestAggregate:
         np.testing.assert_array_equal(fused.data[:, :32], local.data)
         np.testing.assert_array_equal(fused.data[:, 32:], global_.data)
 
+    def test_two_absent_streams(self):
+        with pytest.raises(ConfigError, match="absent"):
+            M.aggregate(None, None)
+
     def test_spatial_mismatch(self):
         with pytest.raises(DimensionError):
             M.aggregate(

@@ -1,5 +1,7 @@
 """Autodiff core: primitives, backward semantics, gradient checking."""
 
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -28,6 +30,10 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+    def test_batch_extents_mismatch(self):
+        with pytest.raises(DimensionError, match="matmul"):
+            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4))))
 
     def test_batched_broadcast(self):
         a = np.random.default_rng(0).normal(size=(3, 2, 4))
@@ -68,7 +74,7 @@ class TestPermute:
         assert permute_axes(x, (1, 0, 2)).shape == (112, 96, 96)
 
     def test_not_a_permutation(self):
-        with pytest.raises(ValueError, match="not a permutation"):
+        with pytest.raises(DimensionError, match="not a permutation"):
             permute_axes(Tensor(np.ones((2, 2))), (0, 0))
 
 
@@ -85,6 +91,16 @@ class TestConcat:
     def test_mismatch(self):
         with pytest.raises(DimensionError):
             concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
+
+    def test_axis_out_of_range(self):
+        a = Tensor(np.ones((2, 3)))
+        for axis in (2, 7, -3):
+            with pytest.raises(DimensionError, match="out of range"):
+                concat([a, a], axis=axis)
+
+    def test_zero_parts(self):
+        with pytest.raises(DimensionError, match="zero parts"):
+            concat([], axis=0)
 
     def test_concat_split_roundtrip_bitwise(self):
         rng = np.random.default_rng(3)
@@ -181,6 +197,18 @@ class TestBackward:
         backward(x)
         assert x.grad == 2.0
 
+    def test_unread_op_output_is_freed(self):
+        # no backward rule reads `a`, so the tape must not keep its data alive
+        x = t64([1.0, 2.0])
+        a = T.add(x, x)
+        b = T.add(a, x)
+        ref = weakref.ref(a.data)
+        del a
+        gc.collect()
+        assert ref() is None
+        backward(b.sum())
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
     def test_no_grad_records_nothing(self):
         x = t64([1.0])
         with T.no_grad():
@@ -202,7 +230,7 @@ class TestFiniteChecks:
             Tensor([np.nan])
 
     def test_zero_extent_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(DimensionError, match="positive"):
             Tensor(np.zeros((2, 0, 3)))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -255,6 +283,18 @@ class TestShapeErrors:
     def test_reshape_wrong_size(self):
         with pytest.raises(DimensionError, match=r"size 6.*\(4,\)"):
             T.reshape(Tensor(np.ones((2, 3))), (4,))
+
+    @pytest.mark.parametrize("op", [T.tsum, T.tmean])
+    def test_reduction_axis_out_of_range(self, op):
+        x = Tensor(np.zeros((2, 3)))
+        for axis in (2, 5, -3, (0, 5)):
+            with pytest.raises(DimensionError, match="out of range"):
+                op(x, axis=axis)
+        assert op(x, axis=-1).shape == (2,)
+
+    def test_item_of_non_scalar(self):
+        with pytest.raises(DimensionError, match="item"):
+            Tensor(np.ones(2)).item()
 
 
 class TestGradCheck:
