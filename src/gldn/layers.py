@@ -278,15 +278,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return normalize(x, gamma, beta, (-1,), eps)[0]
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Max-subtracted softmax over the last axis; rows sum to 1."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
+    """softmax(scale * x) over the last axis, max-subtracted; rows sum to 1.
+
+    `scale` is a Python float, so float32 scores stay float32. Attention
+    passes 1/sqrt(d_k), so no node of its own scales the raw scores and none
+    keeps them for backward: the rule reads only y.
+    """
+    z = x.data * scale
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        return (y * (g - inner) * scale,)
 
     return apply_op(y, (x,), bwd)
 
@@ -303,11 +309,6 @@ def gelu(x: Tensor) -> Tensor:
     return apply_op(out_data, (x,), bwd)
 
 
-def _swap_last_two(t: Tensor) -> Tensor:
-    perm = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
-    return permute_axes(t, perm)
-
-
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Softmax(Q K^T / sqrt(d_k)) V over the last two axes."""
     if not (q.shape == k.shape == v.shape):
@@ -316,9 +317,9 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         )
     if q.ndim < 2:
         raise DimensionError(f"attention needs [*, n, d_k], got {q.shape}")
-    d_k = q.shape[-1]
-    scores = matmul(q, _swap_last_two(k)) * (1.0 / np.sqrt(d_k))
-    return matmul(softmax(scores), v)
+    r = k.ndim
+    kt = permute_axes(k, tuple(range(r - 2)) + (r - 1, r - 2))
+    return matmul(softmax(matmul(q, kt), float(1.0 / np.sqrt(q.shape[-1]))), v)
 
 
 def multi_head_attention(x: Tensor, p: AttentionParams) -> Tensor:
@@ -326,24 +327,15 @@ def multi_head_attention(x: Tensor, p: AttentionParams) -> Tensor:
     if x.ndim < 2:
         raise DimensionError(f"multi_head_attention needs [*, n, d], got {x.shape}")
     n, d = x.shape[-2], x.shape[-1]
-    if d != p.wq.shape[0]:
-        raise DimensionError(f"token dim {d} does not match projections {p.wq.shape}")
     h, dk = p.heads, p.head_dim
     lead = x.shape[:-2]
-
-    def split_heads(t):
-        t = reshape(t, lead + (n, h, dk))
-        r = t.ndim
-        perm = tuple(range(r - 3)) + (r - 2, r - 3, r - 1)  # [..., h, n, dk]
-        return permute_axes(t, perm)
-
-    q = split_heads(linear(x, p.wq, p.bq))
-    k = split_heads(matmul(x, p.wk))
-    v = split_heads(linear(x, p.wv, p.bv))
-    att = scaled_dot_attention(q, k, v)
-    r = att.ndim
-    att = permute_axes(att, tuple(range(r - 3)) + (r - 2, r - 3, r - 1))  # [..., n, h, dk]
-    merged = reshape(att, lead + (n, d))
+    a = len(lead)  # the token axis; swapping it with the head axis is its own inverse
+    perm = tuple(range(a)) + (a + 1, a, a + 2)  # [..., n, h, dk] <-> [..., h, n, dk]
+    q, k, v = (
+        permute_axes(reshape(t, lead + (n, h, dk)), perm)
+        for t in (linear(x, p.wq, p.bq), matmul(x, p.wk), linear(x, p.wv, p.bv))
+    )
+    merged = reshape(permute_axes(scaled_dot_attention(q, k, v), perm), lead + (n, d))
     return linear(merged, p.wo, p.bo)
 
 

@@ -1,5 +1,8 @@
 """Layer ops: spec'd shape/value cases, brute-force oracles, gradient checks."""
 
+import gc
+import weakref
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -325,15 +328,20 @@ def layer_norm_composite(x, gamma, beta, eps=1e-5):
     return centered / T.sqrt(var + eps) * gamma + beta
 
 
-def tape_nodes(out):
-    """Number of tape nodes that `out` depends on."""
+def tape_ops(out):
+    """Op name -> number of the tape nodes that `out` depends on."""
     seen, stack = set(), [out._node]
     while stack:
         node = stack.pop()
         if isinstance(node, T.TapeNode) and node not in seen:
             seen.add(node)
             stack.extend(node.parents)
-    return len(seen)
+    return Counter(node.backward_fn.__qualname__.split(".")[0] for node in seen)
+
+
+def tape_nodes(out):
+    """Number of tape nodes that `out` depends on."""
+    return sum(tape_ops(out).values())
 
 
 def bn_case(rng, training, dtype=np.float32):
@@ -482,12 +490,17 @@ class TestSoftmax:
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(out >= 0)
 
-    def test_grad_check(self):
+    @pytest.mark.parametrize("scale", [1.0, 0.35])
+    def test_grad_check(self, scale):
         rng = np.random.default_rng(2)
         x = t64(rng.normal(size=(2, 5)))
         coeff = rng.normal(size=(2, 5))
-        (res,) = grad_check(lambda t: (L.softmax(t) * coeff).sum(), [x], tol=1e-6)
+        (res,) = grad_check(lambda t: (L.softmax(t, scale) * coeff).sum(), [x], tol=1e-6)
         assert res.passed, res
+
+    def test_scale_keeps_float32(self):
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 5)).astype(np.float32))
+        assert L.softmax(x, scale=0.35).dtype == np.float32
 
 
 class TestGelu:
@@ -564,6 +577,32 @@ class TestScaledDotAttention:
         ):
             assert res.passed, res
 
+    def test_raw_scores_are_freed(self, monkeypatch):
+        # the scale lives in the softmax, so no backward rule reads Q K^T
+        outputs = []
+        matmul = L.matmul
+
+        def recording_matmul(a, b):
+            out = matmul(a, b)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(L, "matmul", recording_matmul)
+        rng = np.random.default_rng(6)
+        q, k, v = (t64(rng.normal(size=(2, 4, 3))) for _ in range(3))
+        out = L.scaled_dot_attention(q, k, v)
+        gc.collect()
+        assert outputs[0]() is None
+        backward(out.sum())
+        for t in (q, k, v):
+            assert np.any(t.grad != 0)
+
+    def test_records_two_matmuls_one_softmax_one_permute(self):
+        rng = np.random.default_rng(7)
+        q, k, v = (t64(rng.normal(size=(2, 4, 3))) for _ in range(3))
+        ops = tape_ops(L.scaled_dot_attention(q, k, v))
+        assert ops == {"matmul": 2, "softmax": 1, "permute_axes": 1}
+
 
 def mha_params(d, heads, rng=None, dtype=np.float64, identity=False):
     def mk(shape):
@@ -600,6 +639,12 @@ class TestMultiHeadAttention:
         perm = rng.permutation(4)
         permuted = L.multi_head_attention(Tensor(x[perm]), p).data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-5)
+
+    def test_token_dim_mismatch_rejected(self):
+        rng = np.random.default_rng(5)
+        p = mha_params(4, 2, rng)
+        with pytest.raises(DimensionError):
+            L.multi_head_attention(Tensor(rng.normal(size=(3, 6))), p)
 
     def test_indivisible_heads_rejected(self):
         rng = np.random.default_rng(3)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gldn import model as M
 from gldn.errors import ConfigError, DimensionError, FormatError
-from gldn.tensor import Tensor, grad_check
+from gldn.tensor import Tensor, backward, grad_check
 
 FULL = M.ModelConfig(input_shape=(96, 112, 96))
 DESK = M.ModelConfig(input_shape=(32, 48, 32))
@@ -51,7 +51,8 @@ class TestCnnBlock:
         out = M.cnn_block(rand_input((8, 8, 8), batch=2), cb)
         np.testing.assert_array_equal(out.data, 0.0)
 
-    def test_grad_check_small(self):
+    @pytest.mark.parametrize("order", ["relu_bn", "bn_relu"])
+    def test_grad_check_small(self, order):
         store = M.ParamStore(np.random.default_rng(2), np.float64)
         cb = M._build_cnn_block(store, "cb", 1, 2)
         cb.bn.training = True
@@ -63,7 +64,7 @@ class TestCnnBlock:
                 M.Conv3dParams(w, b),
                 M.BatchNorm3dState(g, beta, np.zeros(2), np.ones(2), training=True),
             )
-            return (M.cnn_block(x, p) * coeff).sum()
+            return (M.cnn_block(x, p, order) * coeff).sum()
 
         tensors = [x, cb.conv.weight, cb.conv.bias, cb.bn.gamma, cb.bn.beta]
         for res in grad_check(f, tensors, tol=1e-4, sample=40):
@@ -271,6 +272,8 @@ class TestEndToEndGradient:
             "blocks.0.llb.cb0.conv.weight",
             "blocks.0.llb.cb1.bn.gamma",
             "blocks.0.glb.part0.proj.w",
+            "blocks.0.glb.part1.enc0.attn.wq",
+            "blocks.0.glb.part1.enc0.attn.wk",
             "blocks.0.glb.part1.enc0.attn.wv",
             "blocks.0.glb.part2.depatch.w",
             "head.w",
@@ -282,6 +285,17 @@ class TestEndToEndGradient:
 
         for name, res in zip(names, grad_check(f, tensors, tol=1e-4, sample=20)):
             assert res.passed, (name, res)
+
+    def test_float32_model_stays_float32(self):
+        # a float64 constant anywhere on the path would promote the output
+        model = M.build_model(tiny_config(), seed=15, dtype=np.float32)
+        x = rand_input((8, 8, 8), batch=2, seed=16)
+        assert model.forward(x).dtype == np.float32
+        out = model.forward(x, training=True)
+        assert out.dtype == np.float32
+        backward((out * np.random.default_rng(17).normal(size=(2, 84))).sum())
+        for name, t in model.parameters().items():
+            assert t.grad.dtype == np.float32, name
 
 
 class TestCheckpoint:
