@@ -23,6 +23,8 @@ from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, per
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+EPS = 1e-5  # variance floor of BatchNorm and LayerNorm
+MOMENTUM = 0.1  # BatchNorm running-statistics update rate
 
 
 # -- parameter containers ------------------------------------------------------
@@ -42,8 +44,6 @@ class BatchNorm3dState:
     beta: Tensor  # [C]
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.1
     training: bool = False
 
 
@@ -204,8 +204,8 @@ def maxpool3d(x: Tensor) -> Tensor:
     return apply_op(np.ascontiguousarray(out_data), (x,), bwd, check=False)
 
 
-def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, stats=None):
-    """gamma * (x - mu) / sqrt(var + eps) + beta as one tape node, over `axes`.
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
+    """gamma * (x - mu) / sqrt(var + EPS) + beta as one tape node, over `axes`.
 
     Without `stats`, mu and var are the biased statistics of x over `axes` and
     the backward differentiates through them (Ioffe & Szegedy 2015; Ba et al.
@@ -221,7 +221,7 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float, stats=No
     else:
         mean, var = (np.asarray(a, dtype=x.dtype) for a in stats)
         xhat = x.data - mean
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + EPS)
     xhat /= std
     out_data = xhat * gamma.data
     out_data += beta.data
@@ -260,11 +260,11 @@ def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
     )
     gamma = reshape(s.gamma, (1, C, 1, 1, 1))
     beta = reshape(s.beta, (1, C, 1, 1, 1))
-    out, (mean, var) = normalize(x, gamma, beta, (0, 2, 3, 4), s.eps, stats)
+    out, (mean, var) = normalize(x, gamma, beta, (0, 2, 3, 4), stats)
     if s.training:
         # detached running-stat update (single writer: the training loop)
-        s.running_mean += s.momentum * (mean.reshape(C) - s.running_mean)
-        s.running_var += s.momentum * (var.reshape(C) * (n / (n - 1)) - s.running_var)
+        s.running_mean += MOMENTUM * (mean.reshape(C) - s.running_mean)
+        s.running_var += MOMENTUM * (var.reshape(C) * (n / (n - 1)) - s.running_var)
     return out
 
 
@@ -273,9 +273,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return matmul(x, w) + b
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then affine."""
-    return normalize(x, gamma, beta, (-1,), eps)[0]
+    return normalize(x, gamma, beta, (-1,))[0]
 
 
 def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
@@ -285,14 +285,16 @@ def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
     passes 1/sqrt(d_k), so no node of its own scales the raw scores and none
     keeps them for backward: the rule reads only y.
     """
-    z = x.data * scale
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data * scale  # a fresh buffer, so every later step runs in place
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner) * scale,)
+        dx = g - (g * y).sum(axis=-1, keepdims=True)
+        dx *= y
+        dx *= scale
+        return (dx,)
 
     return apply_op(y, (x,), bwd)
 

@@ -60,11 +60,18 @@ class ModelConfig:
 
     def validate(self):
         n = self.num_blocks
+        if len(self.input_shape) != 3:
+            raise ConfigError(f"input_shape needs 3 extents, got {self.input_shape}")
+        if any(np.shape(pair) != (2,) for pair in self.llb_channels):
+            raise ConfigError(f"llb_channels entries must be channel pairs, got {self.llb_channels}")
         for name in ("glb_channels", "patch", "embed_dim", "depth", "heads"):
             if len(getattr(self, name)) != n:
                 raise ConfigError(
                     f"{name} has {len(getattr(self, name))} entries for {n} fusion blocks"
                 )
+        for name in ("input_shape", "llb_channels", "glb_channels", "patch", "embed_dim", "depth", "heads"):
+            if not all(isinstance(v, np.integer) and v > 0 for v in np.ravel(getattr(self, name))):
+                raise ConfigError(f"{name} must hold positive integers, got {getattr(self, name)}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.conv_order not in ("relu_bn", "bn_relu"):
@@ -135,7 +142,6 @@ class FusionBlock:
     llb: tuple[CnnBlockParams, CnnBlockParams] | None
     glb_cfg: S.SptConfig | None
     glb: list[S.SptPartParams] | None
-    out_channels: int
 
 
 # -- forward ops ------------------------------------------------------------------------
@@ -164,10 +170,6 @@ def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
         return global_
     if global_ is None:
         return local
-    if local.shape[0] != global_.shape[0] or local.shape[2:] != global_.shape[2:]:
-        raise DimensionError(
-            f"aggregate needs matching batch/spatial extents: {local.shape} vs {global_.shape}"
-        )
     return concat([local, global_], axis=1)
 
 
@@ -221,29 +223,10 @@ class GLDN:
     def parameters(self) -> dict[str, Tensor]:
         return self.store.params
 
-    def num_parameters(self) -> int:
-        return sum(t.size for t in self.store.params.values())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {name: t.data for name, t in self.store.params.items()}
         out.update(self.store.buffers)
         return out
-
-    def load_state(self, arrays: dict[str, np.ndarray], source: str = "state"):
-        own = self.state_arrays()
-        missing = sorted(set(own) - set(arrays))
-        unknown = sorted(set(arrays) - set(own))
-        if missing or unknown:
-            raise ConfigError(
-                f"{source} does not match the model: missing {missing[:4]}, unknown {unknown[:4]}"
-            )
-        for name, arr in arrays.items():
-            target = own[name]
-            if tuple(arr.shape) != tuple(target.shape):
-                raise ConfigError(
-                    f"{source}: {name} has shape {tuple(arr.shape)}, model expects {tuple(target.shape)}"
-                )
-            target[...] = arr.astype(target.dtype)
 
 
 def _build_spt_part(store: ParamStore, prefix: str, part: S.SptPartConfig) -> S.SptPartParams:
@@ -338,7 +321,7 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
                 for j, part in enumerate(glb_cfg.parts)
             ]
             out_channels += cfg.glb_channels[i]
-        blocks.append(FusionBlock(llb, glb_cfg, glb, out_channels))
+        blocks.append(FusionBlock(llb, glb_cfg, glb))
         shape = tuple(s // 4 for s in shape)
         channels = out_channels
     head_w = store.xavier("head.w", channels, N_BINS)
@@ -423,4 +406,18 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
 def load_checkpoint(path, model: GLDN):
     """Read the container and load it, validating names/shapes against the model."""
-    model.load_state(read_checkpoint(path), source=f"checkpoint {path}")
+    arrays = read_checkpoint(path)
+    own = model.state_arrays()
+    missing = sorted(set(own) - set(arrays))
+    unknown = sorted(set(arrays) - set(own))
+    if missing or unknown:
+        raise ConfigError(
+            f"checkpoint {path} does not match the model: missing {missing[:4]}, unknown {unknown[:4]}"
+        )
+    for name, arr in arrays.items():
+        target = own[name]
+        if tuple(arr.shape) != tuple(target.shape):
+            raise ConfigError(
+                f"checkpoint {path}: {name} has shape {tuple(arr.shape)}, model expects {tuple(target.shape)}"
+            )
+        target[...] = arr.astype(target.dtype)

@@ -1,6 +1,7 @@
 """Layer ops: spec'd shape/value cases, brute-force oracles, gradient checks."""
 
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import product
@@ -312,20 +313,20 @@ def batchnorm_composite(x, s):
         mu = x.mean(axis=axes, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=axes, keepdims=True)
-        xhat = centered / T.sqrt(var + s.eps)
+        xhat = centered / T.sqrt(var + L.EPS)
     else:
         rm = Tensor(s.running_mean.reshape(1, C, 1, 1, 1), dtype=x.dtype)
         rv = Tensor(s.running_var.reshape(1, C, 1, 1, 1), dtype=x.dtype)
-        xhat = (x - rm) / T.sqrt(rv + s.eps)
+        xhat = (x - rm) / T.sqrt(rv + L.EPS)
     return xhat * T.reshape(s.gamma, (1, C, 1, 1, 1)) + T.reshape(s.beta, (1, C, 1, 1, 1))
 
 
-def layer_norm_composite(x, gamma, beta, eps=1e-5):
+def layer_norm_composite(x, gamma, beta):
     """LayerNorm as the tensor-op composite it was before `normalize` (reference)."""
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / T.sqrt(var + eps) * gamma + beta
+    return centered / T.sqrt(var + L.EPS) * gamma + beta
 
 
 def tape_ops(out):
@@ -396,7 +397,7 @@ class TestNormalize:
         gamma, beta = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
         for axes in ((5,), (-4,), (0, 3)):
             with pytest.raises(DimensionError, match="out of range"):
-                L.normalize(x, gamma, beta, axes, 1e-5)
+                L.normalize(x, gamma, beta, axes)
 
     def test_grad_check_bn_eval(self):
         rng = np.random.default_rng(51)
@@ -501,6 +502,27 @@ class TestSoftmax:
     def test_scale_keeps_float32(self):
         x = Tensor(np.random.default_rng(3).normal(size=(2, 5)).astype(np.float32))
         assert L.softmax(x, scale=0.35).dtype == np.float32
+
+    def test_one_output_sized_buffer(self):
+        # the forward and the rule each compute in one output-sized buffer
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(8, 4, 64, 64)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=x.shape).astype(np.float32)
+
+        def peak_above_base(fn):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            y, forward = peak_above_base(lambda: L.softmax(x, 0.35))
+            _, rule = peak_above_base(lambda: y._node.backward_fn(g))
+        finally:
+            tracemalloc.stop()
+        assert forward <= 1.5 * y.data.nbytes, forward / y.data.nbytes
+        assert rule <= 1.5 * y.data.nbytes, rule / y.data.nbytes
 
 
 class TestGelu:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gldn import tensor as T
-from gldn.errors import DimensionError, NumericsError
+from gldn.errors import ConfigError, DimensionError, NumericsError
 from gldn.tensor import Tensor, backward, concat, grad_check, matmul, permute_axes
 
 
@@ -139,11 +139,11 @@ class TestBackward:
         np.testing.assert_array_equal(other.grad, [0.0])
 
     def test_non_scalar_loss(self):
-        with pytest.raises(ValueError, match="scalar"):
+        with pytest.raises(DimensionError, match="scalar"):
             backward(t64([1.0, 2.0]))
 
     def test_loss_without_graph(self):
-        with pytest.raises(ValueError, match="recorded"):
+        with pytest.raises(ConfigError, match="recorded"):
             backward(Tensor(np.float64(3.0)))
 
     def test_accumulation_on_repeated_backward(self):
@@ -326,8 +326,17 @@ class TestGradCheck:
 
     def test_rejects_float32(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        with pytest.raises(ValueError, match="float64"):
+        with pytest.raises(ConfigError, match="float64"):
             grad_check(lambda t: t.sum(), [x])
+
+    def test_rejects_input_without_grad(self):
+        x = Tensor(np.ones(3, dtype=np.float64))
+        with pytest.raises(ConfigError, match="require grad"):
+            grad_check(lambda t: t.sum(), [x])
+
+    def test_rejects_non_scalar_target(self):
+        with pytest.raises(DimensionError, match="scalar"):
+            grad_check(lambda t: t * t, [t64([1.0, 2.0])])
 
     def test_sampled_subset(self):
         x = t64(np.random.default_rng(8).uniform(0.5, 1.5, size=(40,)))
