@@ -6,8 +6,10 @@ im2col for the forward pass and dW, col2im for dX, all through one tap-view
 helper, with each slab's column buffer held under a fixed byte bound.
 BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
 backward; they differ only in the reduced axes and where the statistics come
-from. Attention and the encoder layer are composed from tensor primitives so
-their gradients come for free.
+from. Scaled dot-product attention is one node with a hand-written backward,
+like conv3d: it walks the (slice x head) axes in chunks under the same byte
+bound and keeps one log-sum-exp per query row instead of the n x n weights.
+The encoder layer around it is composed from tensor primitives.
 """
 
 from __future__ import annotations
@@ -85,18 +87,19 @@ class EncoderLayerParams:
 
 # -- convolutional stream ------------------------------------------------------
 
-# Upper bound on one depth slab's column buffer (see conv3d).
-_COLS_BYTES = 8 << 20
+# Upper bound on one transient block: a conv3d depth slab's column buffer, or
+# an attention chunk's score block.
+_CHUNK_BYTES = 8 << 20
 
 
 def _slabs(x: np.ndarray) -> list[tuple[int, int]]:
-    """Output depth ranges [d0, d1) whose column buffers fit in _COLS_BYTES.
+    """Output depth ranges [d0, d1) whose column buffers fit in _CHUNK_BYTES.
 
     A slab holds at least one depth plane, so only a plane larger than the
     bound on its own exceeds it.
     """
     B, c_in, D, H, W = x.shape
-    step = max(1, _COLS_BYTES // (27 * c_in * B * H * W * x.itemsize))
+    step = max(1, _CHUNK_BYTES // (27 * c_in * B * H * W * x.itemsize))
     return [(d0, min(d0 + step, D)) for d0 in range(0, D, step)]
 
 
@@ -129,7 +132,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     gradient times the columns, and dX folds W^T times the gradient back
     through the same tap views of the padded gradient (col2im). The columns
     of a whole volume would take 27x the input's memory; slabs hold that
-    transient under _COLS_BYTES so it stays small next to the activations.
+    transient under _CHUNK_BYTES so it stays small next to the activations.
     """
     if x.ndim != 5:
         raise DimensionError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
@@ -278,22 +281,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return normalize(x, gamma, beta, (-1,))[0]
 
 
-def softmax(x: Tensor, scale: float = 1.0) -> Tensor:
-    """softmax(scale * x) over the last axis, max-subtracted; rows sum to 1.
-
-    `scale` is a Python float, so float32 scores stay float32. Attention
-    passes 1/sqrt(d_k), so no node of its own scales the raw scores and none
-    keeps them for backward: the rule reads only y.
-    """
-    y = x.data * scale  # a fresh buffer, so every later step runs in place
-    y -= y.max(axis=-1, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis, max-subtracted; rows sum to 1. The rule reads only y."""
+    y = x.data - x.data.max(axis=-1, keepdims=True)  # a fresh buffer, so every later step runs in place
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         dx = g - (g * y).sum(axis=-1, keepdims=True)
         dx *= y
-        dx *= scale
         return (dx,)
 
     return apply_op(y, (x,), bwd)
@@ -312,16 +308,59 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Softmax(Q K^T / sqrt(d_k)) V over the last two axes."""
+    """Softmax(Q K^T / sqrt(d_k)) V over the last two axes, as one node.
+
+    The leading axes flatten to G sequences, walked in chunks whose [g, n, n]
+    score block fits in _CHUNK_BYTES. The node keeps q, k, v, the output and
+    one log-sum-exp per query row, and backward recomputes each chunk's
+    weights from them (Rabe & Staats 2021; Dao et al. 2022), so no n x n
+    array outlives its chunk. Both forward products go through `matmul`,
+    which checks the scores and the weights for non-finite values.
+    """
     if not (q.shape == k.shape == v.shape):
         raise DimensionError(
             f"attention operands must agree, got {q.shape}, {k.shape}, {v.shape}"
         )
     if q.ndim < 2:
         raise DimensionError(f"attention needs [*, n, d_k], got {q.shape}")
-    r = k.ndim
-    kt = permute_axes(k, tuple(range(r - 2)) + (r - 1, r - 2))
-    return matmul(softmax(matmul(q, kt), float(1.0 / np.sqrt(q.shape[-1]))), v)
+    shape, (n, d) = q.shape, q.shape[-2:]
+    qf, kf, vf = (t.data.reshape(-1, n, d) for t in (q, k, v))
+    scale = float(1.0 / np.sqrt(d))  # a Python float, so float32 scores stay float32
+    step = max(1, _CHUNK_BYTES // (n * n * q.data.itemsize))
+    chunks = [slice(g0, g0 + step) for g0 in range(0, len(qf), step)]
+    out = np.empty_like(qf)
+    lse = np.empty((len(qf), n, 1), qf.dtype)
+    for c in chunks:
+        s = matmul(qf[c], np.swapaxes(kf[c], -1, -2)).data
+        s *= scale
+        top = s.max(axis=-1, keepdims=True)
+        s -= top
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        s /= total
+        out[c] = matmul(s, vf[c]).data
+        lse[c] = top + np.log(total)
+        del s  # so no two chunks' score blocks are alive at once
+
+    def bwd(g):
+        g = g.reshape(qf.shape)
+        dq, dk, dv = (np.empty_like(qf) for _ in range(3))
+        for c in chunks:
+            p = np.matmul(qf[c], np.swapaxes(kf[c], -1, -2))
+            p *= scale
+            p -= lse[c]
+            np.exp(p, out=p)
+            dv[c] = np.matmul(np.swapaxes(p, -1, -2), g[c])
+            ds = np.matmul(g[c], np.swapaxes(vf[c], -1, -2))
+            ds -= (g[c] * out[c]).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            dq[c] = np.matmul(ds, kf[c])
+            dk[c] = np.matmul(np.swapaxes(ds, -1, -2), qf[c])
+            del p, ds
+        return dq.reshape(shape), dk.reshape(shape), dv.reshape(shape)
+
+    return apply_op(out.reshape(shape), (q, k, v), bwd)
 
 
 def multi_head_attention(x: Tensor, p: AttentionParams) -> Tensor:

@@ -60,6 +60,8 @@ class ModelConfig:
 
     def validate(self):
         n = self.num_blocks
+        if n == 0:
+            raise ConfigError("llb_channels must name at least one fusion block, got none")
         if len(self.input_shape) != 3:
             raise ConfigError(f"input_shape needs 3 extents, got {self.input_shape}")
         if any(np.shape(pair) != (2,) for pair in self.llb_channels):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericsError
+from .errors import ConfigError, DimensionError, DomainError, NumericsError
 
 DEFAULT_DTYPE = np.float32
 
@@ -71,7 +71,10 @@ class Tensor:
                 dtype = data.dtype
             else:
                 dtype = DEFAULT_DTYPE
-        arr = np.ascontiguousarray(data, dtype=dtype)
+        try:
+            arr = np.ascontiguousarray(data, dtype=dtype)
+        except (TypeError, ValueError) as e:
+            raise DomainError(f"tensor data must be numeric, got {type(data).__name__}: {e}") from e
         if any(n <= 0 for n in arr.shape):
             raise DimensionError(f"tensor extents must be positive, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):

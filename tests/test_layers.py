@@ -116,9 +116,9 @@ def conv3d_taps_reference(x, w, b, g):
 
 
 def bound_for_slab_depth(monkeypatch, x_shape, itemsize, depth):
-    """Set the column bound so each slab of an input of `x_shape` holds `depth` planes."""
+    """Set the chunk byte bound so each slab of an input of `x_shape` holds `depth` planes."""
     B, Cin, _, H, W = x_shape
-    monkeypatch.setattr(L, "_COLS_BYTES", depth * 27 * Cin * B * H * W * itemsize)
+    monkeypatch.setattr(L, "_CHUNK_BYTES", depth * 27 * Cin * B * H * W * itemsize)
 
 
 class TestConv3dSlabs:
@@ -491,17 +491,16 @@ class TestSoftmax:
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(out >= 0)
 
-    @pytest.mark.parametrize("scale", [1.0, 0.35])
-    def test_grad_check(self, scale):
+    def test_grad_check(self):
         rng = np.random.default_rng(2)
         x = t64(rng.normal(size=(2, 5)))
         coeff = rng.normal(size=(2, 5))
-        (res,) = grad_check(lambda t: (L.softmax(t, scale) * coeff).sum(), [x], tol=1e-6)
+        (res,) = grad_check(lambda t: (L.softmax(t) * coeff).sum(), [x], tol=1e-6)
         assert res.passed, res
 
-    def test_scale_keeps_float32(self):
+    def test_keeps_float32(self):
         x = Tensor(np.random.default_rng(3).normal(size=(2, 5)).astype(np.float32))
-        assert L.softmax(x, scale=0.35).dtype == np.float32
+        assert L.softmax(x).dtype == np.float32
 
     def test_one_output_sized_buffer(self):
         # the forward and the rule each compute in one output-sized buffer
@@ -517,7 +516,7 @@ class TestSoftmax:
 
         tracemalloc.start()
         try:
-            y, forward = peak_above_base(lambda: L.softmax(x, 0.35))
+            y, forward = peak_above_base(lambda: L.softmax(x))
             _, rule = peak_above_base(lambda: y._node.backward_fn(g))
         finally:
             tracemalloc.stop()
@@ -600,7 +599,7 @@ class TestScaledDotAttention:
             assert res.passed, res
 
     def test_raw_scores_are_freed(self, monkeypatch):
-        # the scale lives in the softmax, so no backward rule reads Q K^T
+        # backward recomputes Q K^T, so no rule keeps it
         outputs = []
         matmul = L.matmul
 
@@ -619,11 +618,98 @@ class TestScaledDotAttention:
         for t in (q, k, v):
             assert np.any(t.grad != 0)
 
-    def test_records_two_matmuls_one_softmax_one_permute(self):
+    def test_records_one_node(self):
         rng = np.random.default_rng(7)
         q, k, v = (t64(rng.normal(size=(2, 4, 3))) for _ in range(3))
         ops = tape_ops(L.scaled_dot_attention(q, k, v))
-        assert ops == {"matmul": 2, "softmax": 1, "permute_axes": 1}
+        assert ops == {"scaled_dot_attention": 1}
+
+
+def attention_composed(q, k, v):
+    """Attention as the tensor-op composite it was before the fused node (reference)."""
+    r = k.ndim
+    kt = T.permute_axes(k, tuple(range(r - 2)) + (r - 1, r - 2))
+    return T.matmul(L.softmax(T.matmul(q, kt) * float(1.0 / np.sqrt(q.shape[-1]))), v)
+
+
+def bound_for_chunk(monkeypatch, n, itemsize, g):
+    """Set the chunk byte bound so each attention chunk holds `g` sequences of `n` tokens."""
+    monkeypatch.setattr(L, "_CHUNK_BYTES", g * n * n * itemsize)
+
+
+def traced_bytes(fn):
+    """(result, bytes still held after fn, peak bytes during fn), above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, current - base, peak - base
+
+
+class TestFusedAttention:
+    """The chunked node against the composed path, across chunk edges, and its memory."""
+
+    def test_grad_check_across_chunk_edge(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        q, k, v = (t64(rng.normal(size=(5, 3, 2))) for _ in range(3))
+        coeff = rng.normal(size=(5, 3, 2))
+        bound_for_chunk(monkeypatch, 3, 8, 2)
+        calls = []
+        matmul = L.matmul
+
+        def counting(a, b):
+            calls.append(len(a))  # sequences in this product
+            return matmul(a, b)
+
+        monkeypatch.setattr(L, "matmul", counting)
+        L.scaled_dot_attention(q, k, v)
+        assert calls == [2, 2, 2, 2, 1, 1]  # chunks of 2, 2 and 1 sequences, two products each
+        for res in grad_check(
+            lambda q, k, v: (L.scaled_dot_attention(q, k, v) * coeff).sum(), [q, k, v], tol=1e-6
+        ):
+            assert res.passed, res
+
+    def test_float32_matches_composed(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        shape = (2, 3, 7, 4)  # G = 6 sequences: chunks of 4 and 2
+        bound_for_chunk(monkeypatch, 7, 4, 4)
+        qkv = [rng.normal(scale=2.0, size=shape).astype(np.float32) for _ in range(3)]
+        g = rng.normal(size=shape).astype(np.float32)
+        results = []
+        for attend in (L.scaled_dot_attention, attention_composed):
+            q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
+            out = attend(q, k, v)
+            backward((out * Tensor(g)).sum())
+            results.append((out.data, q.grad, k.grad, v.grad))
+        for name, got, ref in zip(("out", "dq", "dk", "dv"), *results):
+            assert got.dtype == np.float32, name
+            err = np.abs(got - ref).max()
+            assert err <= 1e-5 * np.abs(ref).max(), (name, err)
+
+    def test_retains_no_score_tensor(self):
+        rng = np.random.default_rng(42)
+        shape = (16, 4, 64, 8)
+        q, k, v = (
+            Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True) for _ in range(3)
+        )
+        out, retained, _ = traced_bytes(lambda: L.scaled_dot_attention(q, k, v))
+        score_bytes = 16 * 4 * 64 * 64 * 4
+        assert retained - out.data.nbytes < score_bytes, retained / score_bytes
+
+    def test_forward_peak_under_chunk_bound(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        shape = (8, 4, 128, 8)  # output/scores = d_k/n = 1/16; paper-scale parts span 1/21 to 2/9
+        score_bytes = 8 * 4 * 128 * 128 * 4
+        bound_for_chunk(monkeypatch, 128, 4, 8 * 4 // 4)  # a quarter of the scores
+        q, k, v = (
+            Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True) for _ in range(3)
+        )
+        _, _, peak = traced_bytes(lambda: L.scaled_dot_attention(q, k, v))
+        assert peak < score_bytes / 2, peak / score_bytes
 
 
 def mha_params(d, heads, rng=None, dtype=np.float64, identity=False):

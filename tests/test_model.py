@@ -189,23 +189,28 @@ class TestBuildModel:
             M.build_model(M.ModelConfig(input_shape=(30, 48, 32)))
 
     @pytest.mark.parametrize(
-        "field, value",
+        "overrides",
         [
-            pytest.param("input_shape", (32, 48), id="two-extents"),
-            pytest.param("input_shape", (-32, 48, 32), id="negative-extent"),
-            pytest.param("input_shape", (0, 48, 32), id="zero-extent"),
-            pytest.param("llb_channels", ((16,), (64, 128)), id="llb-not-a-pair"),
-            pytest.param("llb_channels", ((0, 32), (64, 128)), id="zero-llb-channel"),
-            pytest.param("glb_channels", (0, 32), id="zero-glb-channel"),
-            pytest.param("patch", (8.0, 2), id="float-patch"),
-            pytest.param("embed_dim", (0, 64), id="zero-embed-dim"),
-            pytest.param("depth", (-1, 2), id="negative-depth"),
-            pytest.param("heads", (0, 4), id="zero-heads"),
+            pytest.param({"input_shape": (32, 48)}, id="two-extents"),
+            pytest.param({"input_shape": (-32, 48, 32)}, id="negative-extent"),
+            pytest.param({"input_shape": (0, 48, 32)}, id="zero-extent"),
+            pytest.param({"llb_channels": ((16,), (64, 128))}, id="llb-not-a-pair"),
+            pytest.param({"llb_channels": ((0, 32), (64, 128))}, id="zero-llb-channel"),
+            pytest.param({"glb_channels": (0, 32)}, id="zero-glb-channel"),
+            pytest.param({"patch": (8.0, 2)}, id="float-patch"),
+            pytest.param({"embed_dim": (0, 64)}, id="zero-embed-dim"),
+            pytest.param({"depth": (-1, 2)}, id="negative-depth"),
+            pytest.param({"heads": (0, 4)}, id="zero-heads"),
+            pytest.param(
+                dict.fromkeys(("llb_channels", "glb_channels", "patch", "embed_dim", "depth", "heads"), ()),
+                id="zero-blocks",
+            ),
         ],
     )
-    def test_malformed_config_names_field(self, field, value):
+    def test_malformed_config_names_field(self, overrides):
+        field = next(iter(overrides))  # the field the error must name
         with pytest.raises(ConfigError, match=field):
-            M.build_model(M.ModelConfig(**{field: value}))
+            M.build_model(M.ModelConfig(**overrides))
 
     def test_wrong_input_shape_rejected_at_forward(self):
         model = M.build_model(tiny_config(), seed=0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gldn import tensor as T
-from gldn.errors import ConfigError, DimensionError, NumericsError
+from gldn.errors import ConfigError, DimensionError, DomainError, NumericsError
 from gldn.tensor import Tensor, backward, concat, grad_check, matmul, permute_axes
 
 
@@ -232,6 +232,15 @@ class TestFiniteChecks:
     def test_zero_extent_rejected(self):
         with pytest.raises(DimensionError, match="positive"):
             Tensor(np.zeros((2, 0, 3)))
+
+    @pytest.mark.parametrize(
+        "data, kind",
+        [(Tensor(np.ones(3)), "Tensor"), ("abc", "str")],
+        ids=["tensor", "string"],
+    )
+    def test_non_numeric_data_rejected(self, data, kind):
+        with pytest.raises(DomainError, match=f"numeric, got {kind}"):
+            Tensor(data)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_reduction_overflow_surfaces(self):
