@@ -3,7 +3,8 @@
 Convolution and pooling are fused primitives with hand-written backward rules
 (the hot path). The 3x3x3 convolution is lowered to GEMMs over depth slabs:
 im2col for the forward pass and dW, col2im for dX, all through one tap-view
-helper, with each slab's column buffer held under a fixed byte bound.
+helper, with each slab's column buffer held under a fixed byte bound. The 2x2x2
+max pool reads its 8 window positions as strided views and keeps a uint8 argmax.
 BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
 backward; they differ only in the reduced axes and where the statistics come
 from. Scaled dot-product attention is one node with a hand-written backward,
@@ -182,29 +183,45 @@ def relu(x: Tensor) -> Tensor:
     return apply_op(x.data * mask, (x,), bwd, check=False)
 
 
+def _windows(a: np.ndarray) -> list[np.ndarray]:
+    """The 8 strided views a[:, :, i::2, j::2, k::2] of the 2x2x2 windows, in (i, j, k) order."""
+    return [a[:, :, i::2, j::2, k::2] for i, j, k in product(range(2), repeat=3)]
+
+
 def maxpool3d(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax."""
+    """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax.
+
+    Neither direction copies x: the windows are strided views (`_windows`), the
+    node keeps a uint8 first argmax, and backward copies g into each view of a
+    zeroed dx where that window position won.
+    """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [B,C,D,H,W], got {x.shape}")
-    B, C, D, H, W = x.shape
+    D, H, W = x.shape[2:]
     if D % 2 or H % 2 or W % 2:
         raise DimensionError(f"maxpool3d needs extents divisible by 2, got {(D, H, W)}")
-    d2, h2, w2 = D // 2, H // 2, W // 2
-    dtype = x.dtype
-    cube = x.data.reshape(B, C, d2, 2, h2, 2, w2, 2)
-    flat = np.ascontiguousarray(cube.transpose(0, 1, 2, 4, 6, 3, 5, 7)).reshape(B, C, d2, h2, w2, 8)
-    # np.argmax keeps the first index on ties; the index is < 8, and the
-    # backward keeps only it, so `flat` is freed once the forward returns
-    arg = flat.argmax(axis=-1)[..., None].astype(np.uint8)
-    out_data = np.take_along_axis(flat, arg, axis=-1)[..., 0]
+    shape, dtype = x.shape, x.dtype
+    views = _windows(x.data)
+    out_data = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out_data, view, out=out_data)
+    arg = np.full(out_data.shape, 7, np.uint8)
+    hit = np.empty(out_data.shape, bool)
+    for t in range(6, -1, -1):  # written last, the lowest index that attains the max wins
+        np.equal(views[t], out_data, out=hit)
+        np.copyto(arg, t, where=hit)
+    zero = out_data == 0  # np.maximum may keep either zero of a -0.0/+0.0 tie
+    for t, view in enumerate(views):
+        np.logical_and(arg == t, zero, out=hit)
+        np.copyto(out_data, view, where=hit)  # so a zero output is the first argmax's, sign included
 
     def bwd(g):
-        dflat = np.zeros((B, C, d2, h2, w2, 8), dtype)
-        np.put_along_axis(dflat, arg, g[..., None], axis=-1)
-        dcube = dflat.reshape(B, C, d2, h2, w2, 2, 2, 2).transpose(0, 1, 2, 5, 3, 6, 4, 7)
-        return (np.ascontiguousarray(dcube).reshape(B, C, D, H, W),)
+        dx = np.zeros(shape, dtype)
+        for t, view in enumerate(_windows(dx)):
+            np.copyto(view, g, where=arg == t)
+        return (dx,)
 
-    return apply_op(np.ascontiguousarray(out_data), (x,), bwd, check=False)
+    return apply_op(out_data, (x,), bwd, check=False)
 
 
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
@@ -220,25 +237,36 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
     if stats is None:
         mean = x.data.mean(axis=axes, keepdims=True)
         xhat = x.data - mean
-        var = np.square(xhat).mean(axis=axes, keepdims=True)
+        out_data = np.square(xhat)  # the variance's scratch, then the output
+        var = out_data.mean(axis=axes, keepdims=True)
     else:
         mean, var = (np.asarray(a, dtype=x.dtype) for a in stats)
         xhat = x.data - mean
+        out_data = np.empty_like(xhat)
     std = np.sqrt(var + EPS)
     xhat /= std
-    out_data = xhat * gamma.data
+    np.multiply(xhat, gamma.data, out=out_data)
     out_data += beta.data
+    per_channel = gamma.ndim == x.ndim and all(gamma.shape[a] == 1 for a in axes)  # BatchNorm
 
     def bwd(g):
-        dxhat = g * gamma.data
-        if stats is None:
-            # the gradients through mu and var, in closed form
-            m1 = dxhat.mean(axis=axes, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-            dxhat -= m1
-            dxhat -= xhat * m2
-        dxhat /= std
-        return dxhat, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
+        gx = g * xhat  # the one full-size buffer: dgamma is reduced from it, then it becomes dx
+        dgamma = _unbroadcast(gx, gamma.shape).copy()  # a copy even where nothing was summed
+        if not per_channel:  # LayerNorm: gamma varies along the reduced axis
+            np.multiply(g, gamma.data, out=gx)
+            if stats is None:
+                m2 = (gx * xhat).mean(axis=axes, keepdims=True)
+                gx -= gx.mean(axis=axes, keepdims=True)
+                gx -= xhat * m2
+            gx /= std
+        elif stats is None:  # (gamma/std) (g - mean(g) - xhat mean(g xhat)), through mu and var
+            np.multiply(xhat, gx.mean(axis=axes, keepdims=True), out=gx)
+            np.subtract(g, gx, out=gx)
+            gx -= g.mean(axis=axes, keepdims=True)
+            gx *= gamma.data / std
+        else:
+            np.multiply(g, gamma.data / std, out=gx)
+        return gx, dgamma, _unbroadcast(g, beta.shape)
 
     return apply_op(out_data, (x, gamma, beta), bwd), (mean, var)
 

@@ -10,7 +10,7 @@ to the 84 age bins, and a softmax.
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 from dataclasses import dataclass
 
@@ -335,13 +335,20 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
 
 
 def save_checkpoint(path, model: GLDN):
-    """magic, version u32 LE, then {name_len u32, name, rank u32, extents u32*rank, f32 LE data}."""
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
-    buf.write(struct.pack("<I", CKPT_VERSION))
-    write_records(buf, model.state_arrays())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    """magic, version u32 LE, then {name_len u32, name, rank u32, extents u32*rank, f32 LE data}.
+
+    Written to `<path>.tmp`, then renamed over `path`, so a failed write keeps the old file.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", CKPT_VERSION))
+            write_records(fh, model.state_arrays())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
 
 
 def write_records(fh, arrays: dict[str, np.ndarray]):
@@ -416,10 +423,10 @@ def load_checkpoint(path, model: GLDN):
         raise ConfigError(
             f"checkpoint {path} does not match the model: missing {missing[:4]}, unknown {unknown[:4]}"
         )
-    for name, arr in arrays.items():
-        target = own[name]
-        if tuple(arr.shape) != tuple(target.shape):
+    for name, arr in arrays.items():  # every shape first, so a refused load writes nothing
+        if arr.shape != own[name].shape:
             raise ConfigError(
-                f"checkpoint {path}: {name} has shape {tuple(arr.shape)}, model expects {tuple(target.shape)}"
+                f"checkpoint {path}: {name} has shape {arr.shape}, model expects {own[name].shape}"
             )
-        target[...] = arr.astype(target.dtype)
+    for name, arr in arrays.items():
+        own[name][...] = arr

@@ -239,6 +239,42 @@ class TestMaxPool3d:
         (res,) = grad_check(lambda t: (L.maxpool3d(t) * 0.3).sum(), [x], tol=1e-6)
         assert res.passed, res
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_transposed_reference(self, dtype):
+        rng = np.random.default_rng(3)
+        # relu of small integers: most windows tie, and relu gives -0.0 for a
+        # negative input and +0.0 for a zero, so tied zeros differ in sign
+        data = L.relu(Tensor(rng.integers(-3, 4, size=(2, 3, 4, 6, 8)).astype(dtype))).data
+        zeros = np.signbit(data[data == 0])
+        assert zeros.any() and not zeros.all()
+        x = Tensor(data, requires_grad=True)
+        out = L.maxpool3d(x)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g[..., 0] = -0.0
+        (dx,) = out._node.backward_fn(g)
+        want_out, want_dx = maxpool_transposed(data, g)
+        for got, want in ((out.data, want_out), (dx, want_dx)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+def maxpool_transposed(x, g):
+    """Max pool as it was before strided views (reference): (output, dx for `g`).
+
+    x is copied into an 8-axis transpose whose last axis holds each window;
+    argmax keeps the first index on ties, and dx scatters g back through it.
+    """
+    B, C, D, H, W = x.shape
+    d2, h2, w2 = D // 2, H // 2, W // 2
+    cube = x.reshape(B, C, d2, 2, h2, 2, w2, 2)
+    flat = np.ascontiguousarray(cube.transpose(0, 1, 2, 4, 6, 3, 5, 7)).reshape(B, C, d2, h2, w2, 8)
+    arg = flat.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(flat, arg, axis=-1)[..., 0]
+    dflat = np.zeros_like(flat)
+    np.put_along_axis(dflat, arg, g[..., None], axis=-1)
+    dcube = dflat.reshape(B, C, d2, h2, w2, 2, 2, 2).transpose(0, 1, 2, 5, 3, 6, 4, 7)
+    return np.ascontiguousarray(out), np.ascontiguousarray(dcube).reshape(B, C, D, H, W)
+
 
 class TestBatchNorm3d:
     def bn_state(self, c, dtype=np.float64, training=True):
@@ -403,6 +439,21 @@ class TestNormalize:
         rng = np.random.default_rng(51)
         x, s = bn_case(rng, training=False, dtype=np.float64)
         x = t64(x.data[:2, :, :2, :3, :2])
+        coeff = rng.normal(size=x.shape)
+
+        def f(x, g, b):
+            st = L.BatchNorm3dState(g, b, s.running_mean, s.running_var, training=False)
+            return (L.batchnorm3d(x, st) * coeff).sum()
+
+        for res in grad_check(f, [x, s.gamma, s.beta], tol=1e-6):
+            assert res.passed, res
+
+    def test_grad_check_bn_eval_one_voxel(self):
+        # gamma's [1, C, 1, 1, 1] is x's own shape, so dgamma is not a sum of
+        # the buffer that backward goes on to overwrite with dx
+        rng = np.random.default_rng(52)
+        x, s = bn_case(rng, training=False, dtype=np.float64)
+        x = t64(x.data[:1, :, :1, :1, :1])
         coeff = rng.normal(size=x.shape)
 
         def f(x, g, b):
@@ -710,6 +761,50 @@ class TestFusedAttention:
         )
         _, _, peak = traced_bytes(lambda: L.scaled_dot_attention(q, k, v))
         assert peak < score_bytes / 2, peak / score_bytes
+
+
+class TestFullSizeRuleMemory:
+    """Peak bytes of the rules that run on whole volumes, against x's own size.
+
+    At [1, 8, 32, 32, 32] float32 x is 1 MiB, large enough that per-array
+    overhead does not decide a bound. A full-size rule may allocate its own
+    dx and no other array of x's size.
+    """
+
+    shape = (1, 8, 32, 32, 32)
+
+    def leaf(self, rng):
+        return Tensor(rng.normal(size=self.shape).astype(np.float32), requires_grad=True)
+
+    def test_maxpool_forward_copies_nothing_full_size(self):
+        x = self.leaf(np.random.default_rng(60))
+        _, _, peak = traced_bytes(lambda: L.maxpool3d(x))
+        assert peak <= 0.5 * x.data.nbytes, peak / x.data.nbytes
+
+    def test_maxpool_backward_allocates_only_dx(self):
+        rng = np.random.default_rng(61)
+        x = self.leaf(rng)
+        out = L.maxpool3d(x)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        _, _, peak = traced_bytes(lambda: out._node.backward_fn(g))
+        assert peak <= 1.25 * x.data.nbytes, peak / x.data.nbytes
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batchnorm_backward_allocates_only_dx(self, training):
+        rng = np.random.default_rng(62)
+        x = self.leaf(rng)
+        c = self.shape[1]
+        s = L.BatchNorm3dState(
+            gamma=Tensor(rng.uniform(0.5, 2.0, size=c).astype(np.float32), requires_grad=True),
+            beta=Tensor(rng.normal(size=c).astype(np.float32), requires_grad=True),
+            running_mean=np.zeros(c, np.float32),
+            running_var=np.ones(c, np.float32),
+            training=training,
+        )
+        out = L.batchnorm3d(x, s)
+        g = rng.normal(size=self.shape).astype(np.float32)
+        _, _, peak = traced_bytes(lambda: out._node.backward_fn(g))
+        assert peak <= 1.25 * x.data.nbytes, peak / x.data.nbytes
 
 
 def mha_params(d, heads, rng=None, dtype=np.float64, identity=False):

@@ -375,6 +375,42 @@ class TestCheckpoint:
             M.load_checkpoint(path, other)
         assert f"checkpoint {path}" in str(err.value)
 
+    def test_refused_load_writes_nothing(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.build_model(tiny_config(), seed=17))
+        # same record names; the SPT position tables differ in shape, and
+        # records of the right shape come before them
+        model = M.build_model(tiny_config(input_shape=(16, 8, 8)), seed=18)
+        before = {name: arr.copy() for name, arr in model.state_arrays().items()}
+        with pytest.raises(ConfigError, match="shape"):
+            M.load_checkpoint(path, model)
+        after = model.state_arrays()
+        for name, arr in before.items():
+            assert arr.tobytes() == after[name].tobytes(), name
+
+    @pytest.mark.parametrize("step", ["write_records", "replace"])
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch, step):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.build_model(tiny_config(), seed=19))
+        old = path.read_bytes()
+        write = M.write_records
+
+        def write_part(fh, arrays):
+            write(fh, dict(list(arrays.items())[:2]))
+            raise OSError("disk full")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        if step == "write_records":
+            monkeypatch.setattr(M, "write_records", write_part)
+        else:
+            monkeypatch.setattr(M.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            M.save_checkpoint(path, M.build_model(tiny_config(), seed=20))
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
     def test_extent_overflow(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         blob = M.CKPT_MAGIC + struct.pack("<I", 1)
