@@ -7,10 +7,11 @@ helper, with each slab's column buffer held under a fixed byte bound. The 2x2x2
 max pool reads its 8 window positions as strided views and keeps a uint8 argmax.
 BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
 backward; they differ only in the reduced axes and where the statistics come
-from. Scaled dot-product attention is one node with a hand-written backward,
-like conv3d: it walks the (slice x head) axes in chunks under the same byte
-bound and keeps one log-sum-exp per query row instead of the n x n weights.
-The encoder layer around it is composed from tensor primitives.
+from. Multi-head scaled dot-product attention is one node with a hand-written
+backward, like conv3d: it reads heads as strided views of the [*, n, d]
+projections, walks them in chunks under the same byte bound, and keeps one
+log-sum-exp per query row instead of the n x n weights. The encoder layer
+around it is composed from tensor primitives and tapes no reshape or transpose.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DimensionError
-from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, permute_axes, reshape
+from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -66,10 +67,6 @@ class AttentionParams:
         if d % self.heads != 0:
             raise DimensionError(f"embed dim {d} not divisible by {self.heads} heads")
 
-    @property
-    def head_dim(self) -> int:
-        return self.wq.shape[0] // self.heads
-
 
 @dataclass
 class EncoderLayerParams:
@@ -93,15 +90,14 @@ class EncoderLayerParams:
 _CHUNK_BYTES = 8 << 20
 
 
-def _slabs(x: np.ndarray) -> list[tuple[int, int]]:
-    """Output depth ranges [d0, d1) whose column buffers fit in _CHUNK_BYTES.
+def _chunks(total: int, unit_bytes: int) -> list[tuple[int, int]]:
+    """Ranges [i0, i1) over `total` units of `unit_bytes` transient bytes that fit in _CHUNK_BYTES.
 
-    A slab holds at least one depth plane, so only a plane larger than the
-    bound on its own exceeds it.
+    A chunk holds at least one unit, so only a unit larger than the bound on
+    its own exceeds it.
     """
-    B, c_in, D, H, W = x.shape
-    step = max(1, _CHUNK_BYTES // (27 * c_in * B * H * W * x.itemsize))
-    return [(d0, min(d0 + step, D)) for d0 in range(0, D, step)]
+    step = max(1, _CHUNK_BYTES // unit_bytes)
+    return [(i0, min(i0 + step, total)) for i0 in range(0, total, step)]
 
 
 def _taps(a: np.ndarray, d0: int, d1: int) -> list[np.ndarray]:
@@ -149,7 +145,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
     wm = p.weight.data.reshape(c_out, c_in * 27)
     bias = p.bias.data.reshape(1, -1, 1, 1, 1)
-    slabs = _slabs(x.data)
+    slabs = _chunks(D, 27 * c_in * B * H * W * x.data.itemsize)  # output depth ranges
     need_dx = x.requires_grad  # no dX for a constant input
     out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
     for d0, d1 in slabs:
@@ -335,77 +331,75 @@ def gelu(x: Tensor) -> Tensor:
     return apply_op(out_data, (x,), bwd)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Softmax(Q K^T / sqrt(d_k)) V over the last two axes, as one node.
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(Q K^T / sqrt(d_k)) V over [*, n, d] operands, as one node.
 
-    The leading axes flatten to G sequences, walked in chunks whose [g, n, n]
-    score block fits in _CHUNK_BYTES. The node keeps q, k, v, the output and
-    one log-sum-exp per query row, and backward recomputes each chunk's
-    weights from them (Rabe & Staats 2021; Dao et al. 2022), so no n x n
-    array outlives its chunk. Both forward products go through `matmul`,
-    which checks the scores and the weights for non-finite values.
+    d splits into `heads` heads of d_k = d / heads (Vaswani et al. 2017), read
+    as strided [G, heads, n, d_k] views of the operands with no copy (Dao et
+    al. 2022). The output and the gradients are written through the same
+    views, so the result is [*, n, d] with the heads concatenated. The G
+    sequences are walked in chunks whose [g, heads, n, n] score block fits in
+    _CHUNK_BYTES. The node keeps q, k, v, the output and one log-sum-exp per
+    query row, and backward recomputes each chunk's weights from them (Rabe &
+    Staats 2021), so no n x n array outlives its chunk. Both forward products
+    go through `matmul`, which checks the scores and the weights for non-finite values.
     """
-    if not (q.shape == k.shape == v.shape):
+    if q.ndim < 2 or not (q.shape == k.shape == v.shape):
         raise DimensionError(
-            f"attention operands must agree, got {q.shape}, {k.shape}, {v.shape}"
+            f"attention needs equal [*, n, d] operands, got {q.shape}, {k.shape}, {v.shape}"
         )
-    if q.ndim < 2:
-        raise DimensionError(f"attention needs [*, n, d_k], got {q.shape}")
     shape, (n, d) = q.shape, q.shape[-2:]
-    qf, kf, vf = (t.data.reshape(-1, n, d) for t in (q, k, v))
-    scale = float(1.0 / np.sqrt(d))  # a Python float, so float32 scores stay float32
-    step = max(1, _CHUNK_BYTES // (n * n * q.data.itemsize))
-    chunks = [slice(g0, g0 + step) for g0 in range(0, len(qf), step)]
-    out = np.empty_like(qf)
-    lse = np.empty((len(qf), n, 1), qf.dtype)
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} does not split into {heads} heads")
+    d_k = d // heads
+
+    def split(a):  # [*, n, d] -> [G, heads, n, d_k], a view of a's buffer
+        return a.reshape(-1, n, heads, d_k).swapaxes(1, 2)
+
+    qh, kh, vh = (split(t.data) for t in (q, k, v))
+    scale = float(1.0 / np.sqrt(d_k))  # a Python float, so float32 scores stay float32
+    chunks = [slice(*r) for r in _chunks(len(qh), heads * n * n * q.data.itemsize)]
+    out = np.empty(shape, q.dtype)
+    outh = split(out)
+    lse = np.empty(qh.shape[:3] + (1,), q.dtype)
     for c in chunks:
-        s = matmul(qf[c], np.swapaxes(kf[c], -1, -2)).data
+        s = matmul(qh[c], np.swapaxes(kh[c], -1, -2)).data
         s *= scale
         top = s.max(axis=-1, keepdims=True)
         s -= top
         np.exp(s, out=s)
         total = s.sum(axis=-1, keepdims=True)
         s /= total
-        out[c] = matmul(s, vf[c]).data
+        outh[c] = matmul(s, vh[c]).data
         lse[c] = top + np.log(total)
         del s  # so no two chunks' score blocks are alive at once
 
     def bwd(g):
-        g = g.reshape(qf.shape)
-        dq, dk, dv = (np.empty_like(qf) for _ in range(3))
+        g = split(g)
+        grads = tuple(np.empty(shape, q.dtype) for _ in range(3))
+        dq, dk, dv = (split(a) for a in grads)
         for c in chunks:
-            p = np.matmul(qf[c], np.swapaxes(kf[c], -1, -2))
+            p = np.matmul(qh[c], np.swapaxes(kh[c], -1, -2))
             p *= scale
             p -= lse[c]
             np.exp(p, out=p)
             dv[c] = np.matmul(np.swapaxes(p, -1, -2), g[c])
-            ds = np.matmul(g[c], np.swapaxes(vf[c], -1, -2))
-            ds -= (g[c] * out[c]).sum(axis=-1, keepdims=True)
+            ds = np.matmul(g[c], np.swapaxes(vh[c], -1, -2))
+            ds -= (g[c] * outh[c]).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scale
-            dq[c] = np.matmul(ds, kf[c])
-            dk[c] = np.matmul(np.swapaxes(ds, -1, -2), qf[c])
+            dq[c] = np.matmul(ds, kh[c])
+            dk[c] = np.matmul(np.swapaxes(ds, -1, -2), qh[c])
             del p, ds
-        return dq.reshape(shape), dk.reshape(shape), dv.reshape(shape)
+        return grads
 
-    return apply_op(out.reshape(shape), (q, k, v), bwd)
+    return apply_op(out, (q, k, v), bwd)
 
 
 def multi_head_attention(x: Tensor, p: AttentionParams) -> Tensor:
-    """Project to q/k/v, attend per head, concatenate heads, project out."""
-    if x.ndim < 2:
-        raise DimensionError(f"multi_head_attention needs [*, n, d], got {x.shape}")
-    n, d = x.shape[-2], x.shape[-1]
-    h, dk = p.heads, p.head_dim
-    lead = x.shape[:-2]
-    a = len(lead)  # the token axis; swapping it with the head axis is its own inverse
-    perm = tuple(range(a)) + (a + 1, a, a + 2)  # [..., n, h, dk] <-> [..., h, n, dk]
-    q, k, v = (
-        permute_axes(reshape(t, lead + (n, h, dk)), perm)
-        for t in (linear(x, p.wq, p.bq), matmul(x, p.wk), linear(x, p.wv, p.bv))
-    )
-    merged = reshape(permute_axes(scaled_dot_attention(q, k, v), perm), lead + (n, d))
-    return linear(merged, p.wo, p.bo)
+    """Project x [*, n, d] to q/k/v, attend with p.heads heads, project the joined heads out."""
+    q, k, v = linear(x, p.wq, p.bq), matmul(x, p.wk), linear(x, p.wv, p.bv)
+    return linear(scaled_dot_attention(q, k, v, p.heads), p.wo, p.bo)
 
 
 def transformer_encoder_layer(x: Tensor, p: EncoderLayerParams) -> Tensor:

@@ -31,7 +31,7 @@ from .layers import (
     relu,
     softmax,
 )
-from .tensor import Tensor, concat
+from .tensor import Tensor, all_finite, concat
 
 N_BINS = 84
 
@@ -406,7 +406,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         if pos + nbytes > len(blob):
             raise FormatError(f"truncated payload for {name}", offset=pos)
         arr = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(extents).copy()
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise FormatError(f"non-finite values in record {name}", offset=start)
         arrays[name] = arr
         pos += nbytes

@@ -29,6 +29,11 @@ _grad_enabled = True
 _node_counter = itertools.count()
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """No NaN or +-inf in `a`, and no temporary of its size: max propagates NaN; an inf is max or min."""
+    return bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (eval passes, finite differences)."""
@@ -77,7 +82,7 @@ class Tensor:
             raise DomainError(f"tensor data must be numeric, got {type(data).__name__}: {e}") from e
         if any(n <= 0 for n in arr.shape):
             raise DimensionError(f"tensor extents must be positive, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise NumericsError("tensor constructed with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -179,7 +184,7 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> T
     data-movement ops may pass check=False since their inputs were already
     validated.
     """
-    if check and not np.all(np.isfinite(out_data)):
+    if check and not all_finite(out_data):
         raise NumericsError(
             f"non-finite values produced by forward op {backward_fn.__qualname__}"
             f" (output shape {out_data.shape}, dtype {out_data.dtype})"
@@ -446,7 +451,7 @@ def backward(loss: Tensor):
                     heapq.heappush(heap, (-parent.order, parent))
                 else:
                     flow[parent] = acc + gi
-            elif np.all(np.isfinite(gi)):
+            elif all_finite(gi):
                 parent.grad += gi
             else:
                 raise NumericsError(

@@ -121,6 +121,21 @@ def bound_for_slab_depth(monkeypatch, x_shape, itemsize, depth):
     monkeypatch.setattr(L, "_CHUNK_BYTES", depth * 27 * Cin * B * H * W * itemsize)
 
 
+def forward_slabs(monkeypatch, x, p):
+    """The depth ranges [d0, d1) one conv3d forward unfolds, in order."""
+    seen = []
+    cols = L._cols
+
+    def recording(xp, d0, d1):
+        seen.append((d0, d1))
+        return cols(xp, d0, d1)
+
+    with monkeypatch.context() as m:
+        m.setattr(L, "_cols", recording)
+        L.conv3d(x, p)
+    return seen
+
+
 class TestConv3dSlabs:
     """The slab im2col/col2im path against the 27-tap reference, across slab edges."""
 
@@ -130,8 +145,8 @@ class TestConv3dSlabs:
         shape = (3, c_in, 7, 4, 5)
         bound_for_slab_depth(monkeypatch, shape, 4, 3)
         x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-        assert [d1 - d0 for d0, d1 in L._slabs(x.data)] == [3, 3, 1]
         p = conv_params(4, c_in, rng, dtype=np.float32)
+        assert [d1 - d0 for d0, d1 in forward_slabs(monkeypatch, x, p)] == [3, 3, 1]
         p.bias.data[:] = rng.normal(size=4)
         g = rng.normal(size=(3, 4, 7, 4, 5)).astype(np.float32)
         out = L.conv3d(x, p)
@@ -147,8 +162,8 @@ class TestConv3dSlabs:
         rng = np.random.default_rng(30)
         x = t64(rng.normal(size=(2, 2, 3, 3, 2)))
         bound_for_slab_depth(monkeypatch, x.shape, 8, 2)
-        assert L._slabs(x.data) == [(0, 2), (2, 3)]
         p = conv_params(3, 2, rng)
+        assert forward_slabs(monkeypatch, x, p) == [(0, 2), (2, 3)]
         coeff = rng.normal(size=(2, 3, 3, 3, 2))
 
         def f(x, w, b):
@@ -604,7 +619,7 @@ class TestScaledDotAttention:
     def test_single_token_returns_value(self):
         rng = np.random.default_rng(0)
         q, k, v = (Tensor(rng.normal(size=(1, 4))) for _ in range(3))
-        np.testing.assert_allclose(L.scaled_dot_attention(q, k, v).data, v.data, rtol=1e-6)
+        np.testing.assert_allclose(L.scaled_dot_attention(q, k, v, 1).data, v.data, rtol=1e-6)
 
     def test_zero_keys_average_values(self):
         rng = np.random.default_rng(1)
@@ -613,13 +628,14 @@ class TestScaledDotAttention:
             Tensor(rng.normal(size=(5, 3)).astype(np.float32)),
             Tensor(np.zeros((5, 3), dtype=np.float32)),
             Tensor(v),
+            1,
         )
         np.testing.assert_allclose(out.data, np.broadcast_to(v.mean(axis=0), (5, 3)), atol=1e-6)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
         q, k, v = (rng.normal(size=(3, 2)) for _ in range(3))
-        out = L.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
+        out = L.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), 1)
         np.testing.assert_allclose(out.data, attention_bruteforce(q, k, v), atol=1e-6)
 
     def test_weights_row_stochastic(self):
@@ -636,16 +652,27 @@ class TestScaledDotAttention:
         rng = np.random.default_rng(5)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         b = rng.normal(size=(1, 3))
-        shifted = L.scaled_dot_attention(Tensor(q), Tensor(k + b), Tensor(v)).data
-        base = L.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        shifted = L.scaled_dot_attention(Tensor(q), Tensor(k + b), Tensor(v), 1).data
+        base = L.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), 1).data
         np.testing.assert_allclose(shifted, base, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shapes", [[(3, 4), (3, 4), (2, 4)], [(4,)] * 3], ids=["unequal", "rank1"])
+    def test_operands_must_be_equal_sequences(self, shapes):
+        with pytest.raises(DimensionError, match="equal"):
+            L.scaled_dot_attention(*(Tensor(np.ones(s)) for s in shapes), 1)
+
+    @pytest.mark.parametrize("heads", [4, 0])
+    def test_heads_must_split_width(self, heads):
+        q = Tensor(np.ones((3, 6)))
+        with pytest.raises(DimensionError, match="heads"):
+            L.scaled_dot_attention(q, q, q, heads)
 
     def test_grad_check(self):
         rng = np.random.default_rng(4)
         q, k, v = (t64(rng.normal(size=(3, 2))) for _ in range(3))
         coeff = rng.normal(size=(3, 2))
         for res in grad_check(
-            lambda q, k, v: (L.scaled_dot_attention(q, k, v) * coeff).sum(), [q, k, v], tol=1e-5
+            lambda q, k, v: (L.scaled_dot_attention(q, k, v, 1) * coeff).sum(), [q, k, v], tol=1e-5
         ):
             assert res.passed, res
 
@@ -662,7 +689,7 @@ class TestScaledDotAttention:
         monkeypatch.setattr(L, "matmul", recording_matmul)
         rng = np.random.default_rng(6)
         q, k, v = (t64(rng.normal(size=(2, 4, 3))) for _ in range(3))
-        out = L.scaled_dot_attention(q, k, v)
+        out = L.scaled_dot_attention(q, k, v, 1)
         gc.collect()
         assert outputs[0]() is None
         backward(out.sum())
@@ -672,7 +699,7 @@ class TestScaledDotAttention:
     def test_records_one_node(self):
         rng = np.random.default_rng(7)
         q, k, v = (t64(rng.normal(size=(2, 4, 3))) for _ in range(3))
-        ops = tape_ops(L.scaled_dot_attention(q, k, v))
+        ops = tape_ops(L.scaled_dot_attention(q, k, v, 1))
         assert ops == {"scaled_dot_attention": 1}
 
 
@@ -683,8 +710,19 @@ def attention_composed(q, k, v):
     return T.matmul(L.softmax(T.matmul(q, kt) * float(1.0 / np.sqrt(q.shape[-1]))), v)
 
 
+def attention_per_head(q, k, v, heads):
+    """attention_composed on explicit head-split copies of [*, n, d] operands,
+    the heads concatenated back to [*, n, d] (reference)."""
+    *lead, n, d = q.shape
+    a = len(lead)
+    perm = tuple(range(a)) + (a + 1, a, a + 2)  # [*, n, h, d_k] <-> [*, h, n, d_k]
+    q, k, v = (T.permute_axes(T.reshape(t, (*lead, n, heads, d // heads)), perm) for t in (q, k, v))
+    return T.reshape(T.permute_axes(attention_composed(q, k, v), perm), (*lead, n, d))
+
+
 def bound_for_chunk(monkeypatch, n, itemsize, g):
-    """Set the chunk byte bound so each attention chunk holds `g` sequences of `n` tokens."""
+    """Set the chunk byte bound so each attention chunk holds `g` n x n score blocks:
+    g sequences of one head, or g / heads sequences of all their heads."""
     monkeypatch.setattr(L, "_CHUNK_BYTES", g * n * n * itemsize)
 
 
@@ -706,9 +744,6 @@ class TestFusedAttention:
 
     def test_grad_check_across_chunk_edge(self, monkeypatch):
         rng = np.random.default_rng(40)
-        q, k, v = (t64(rng.normal(size=(5, 3, 2))) for _ in range(3))
-        coeff = rng.normal(size=(5, 3, 2))
-        bound_for_chunk(monkeypatch, 3, 8, 2)
         calls = []
         matmul = L.matmul
 
@@ -717,29 +752,36 @@ class TestFusedAttention:
             return matmul(a, b)
 
         monkeypatch.setattr(L, "matmul", counting)
-        L.scaled_dot_attention(q, k, v)
-        assert calls == [2, 2, 2, 2, 1, 1]  # chunks of 2, 2 and 1 sequences, two products each
-        for res in grad_check(
-            lambda q, k, v: (L.scaled_dot_attention(q, k, v) * coeff).sum(), [q, k, v], tol=1e-6
-        ):
-            assert res.passed, res
+        for heads in (1, 2, 4):
+            shape = (5, 3, 2 * heads)  # d_k = 2
+            q, k, v = (t64(rng.normal(size=shape)) for _ in range(3))
+            coeff = rng.normal(size=shape)
+            bound_for_chunk(monkeypatch, 3, 8, 2 * heads)
+            calls.clear()
+            L.scaled_dot_attention(q, k, v, heads)
+            assert calls == [2, 2, 2, 2, 1, 1], heads  # chunks of 2, 2 and 1 sequences, two products each
+            for res in grad_check(
+                lambda q, k, v: (L.scaled_dot_attention(q, k, v, heads) * coeff).sum(), [q, k, v], tol=1e-6
+            ):
+                assert res.passed, (heads, res)
 
     def test_float32_matches_composed(self, monkeypatch):
         rng = np.random.default_rng(41)
-        shape = (2, 3, 7, 4)  # G = 6 sequences: chunks of 4 and 2
-        bound_for_chunk(monkeypatch, 7, 4, 4)
-        qkv = [rng.normal(scale=2.0, size=shape).astype(np.float32) for _ in range(3)]
-        g = rng.normal(size=shape).astype(np.float32)
-        results = []
-        for attend in (L.scaled_dot_attention, attention_composed):
-            q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
-            out = attend(q, k, v)
-            backward((out * Tensor(g)).sum())
-            results.append((out.data, q.grad, k.grad, v.grad))
-        for name, got, ref in zip(("out", "dq", "dk", "dv"), *results):
-            assert got.dtype == np.float32, name
-            err = np.abs(got - ref).max()
-            assert err <= 1e-5 * np.abs(ref).max(), (name, err)
+        for heads in (1, 2, 4):
+            shape = (2, 3, 7, 4 * heads)  # G = 6 sequences: chunks of 4 and 2; d_k = 4
+            bound_for_chunk(monkeypatch, 7, 4, 4 * heads)
+            qkv = [rng.normal(scale=2.0, size=shape).astype(np.float32) for _ in range(3)]
+            g = rng.normal(size=shape).astype(np.float32)
+            results = []
+            for attend in (L.scaled_dot_attention, attention_per_head):
+                q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
+                out = attend(q, k, v, heads)
+                backward((out * Tensor(g)).sum())
+                results.append((out.data, q.grad, k.grad, v.grad))
+            for name, got, ref in zip(("out", "dq", "dk", "dv"), *results):
+                assert got.dtype == np.float32, (heads, name)
+                err = np.abs(got - ref).max()
+                assert err <= 1e-5 * np.abs(ref).max(), (heads, name, err)
 
     def test_retains_no_score_tensor(self):
         rng = np.random.default_rng(42)
@@ -747,7 +789,7 @@ class TestFusedAttention:
         q, k, v = (
             Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True) for _ in range(3)
         )
-        out, retained, _ = traced_bytes(lambda: L.scaled_dot_attention(q, k, v))
+        out, retained, _ = traced_bytes(lambda: L.scaled_dot_attention(q, k, v, 1))
         score_bytes = 16 * 4 * 64 * 64 * 4
         assert retained - out.data.nbytes < score_bytes, retained / score_bytes
 
@@ -759,7 +801,7 @@ class TestFusedAttention:
         q, k, v = (
             Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True) for _ in range(3)
         )
-        _, _, peak = traced_bytes(lambda: L.scaled_dot_attention(q, k, v))
+        _, _, peak = traced_bytes(lambda: L.scaled_dot_attention(q, k, v, 1))
         assert peak < score_bytes / 2, peak / score_bytes
 
 
@@ -825,7 +867,7 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 4)))
         p = mha_params(4, 1, identity=True)
-        want = L.scaled_dot_attention(x, x, x).data
+        want = L.scaled_dot_attention(x, x, x, 1).data
         np.testing.assert_allclose(L.multi_head_attention(x, p).data, want, rtol=1e-5)
 
     def test_shape_preserved(self):
@@ -898,6 +940,13 @@ class TestEncoderLayer:
         x = Tensor(rng.normal(size=(2, 6, 8)).astype(np.float32))
         p = encoder_params(8, 2, rng, dtype=np.float32)
         assert L.transformer_encoder_layer(x, p).shape == (2, 6, 8)
+
+    def test_tapes_no_reshape_or_permute(self):
+        rng = np.random.default_rng(3)
+        x = t64(rng.normal(size=(2, 5, 8)))
+        ops = tape_ops(L.transformer_encoder_layer(x, encoder_params(8, 2, rng)))
+        assert ops["scaled_dot_attention"] == 1
+        assert ops["permute_axes"] == ops["reshape"] == 0, ops
 
     def test_grad_check_d4_n3(self):
         rng = np.random.default_rng(2)

@@ -434,8 +434,10 @@ class TestCheckpoint:
         [
             ({"w": np.zeros(2, dtype=np.float32)}, "duplicate"),
             ({"b": np.array([1.0, np.nan], dtype=np.float32)}, "non-finite"),
+            ({"b": np.array([1.0, np.inf], dtype=np.float32)}, "non-finite"),
+            ({"b": np.array([-np.inf, 1.0], dtype=np.float32)}, "non-finite"),
         ],
-        ids=["duplicate", "non_finite"],
+        ids=["duplicate", "non_finite", "plus_inf", "minus_inf"],
     )
     def test_bad_second_record(self, tmp_path, second, match):
         buf = io.BytesIO()

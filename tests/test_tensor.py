@@ -1,6 +1,7 @@
 """Autodiff core: primitives, backward semantics, gradient checking."""
 
 import gc
+import tracemalloc
 import weakref
 import zlib
 
@@ -249,6 +250,42 @@ class TestFiniteChecks:
             x.sum()
         with pytest.raises(NumericsError, match="tmean"):
             x.mean()
+
+
+    def test_forward_check_allocates_no_full_size_temporary(self):
+        out = np.ones((1, 8, 32, 32, 32), np.float32)  # 1 MiB
+        x = Tensor(out, requires_grad=True)
+        tracemalloc.start()
+        try:
+            T.apply_op(out, (x,), lambda g: (g,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 16, peak / out.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+class TestEachNonFiniteValueRaises:
+    @staticmethod
+    def poisoned(bad):
+        a = np.ones((2, 3))
+        a[1, 2] = bad
+        return a
+
+    def test_construction(self, bad):
+        with pytest.raises(NumericsError, match="constructed"):
+            Tensor(self.poisoned(bad))
+
+    def test_forward_op(self, bad):
+        x = t64(np.ones((2, 3)))
+        with pytest.raises(NumericsError, match="forward op"):
+            T.apply_op(self.poisoned(bad), (x,), lambda g: (g,))
+
+    def test_leaf_gradient(self, bad):
+        x = t64(np.ones((2, 3)))
+        y = T.apply_op(x.data * 2.0, (x,), lambda g: (self.poisoned(bad),))
+        with pytest.raises(NumericsError, match="backward op"):
+            backward(y.sum())
 
 
 class TestFiniteErrorMessage:
