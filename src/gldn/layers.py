@@ -12,10 +12,16 @@ backward, like conv3d: it reads heads as strided views of the [*, n, d]
 projections, walks them in chunks under the same byte bound, and keeps one
 log-sum-exp per query row instead of the n x n weights. The encoder layer
 around it is composed from tensor primitives and tapes no reshape or transpose.
+
+Saved state is built only when `tensor.recording` says the node is recorded:
+the pool's argmax, BatchNorm eval's x-hat beside its output, GELU's slope and
+attention's log-sum-exp. So an eval forward under `no_grad` builds none of
+them, and eval BatchNorm holds one full-size array, not two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -23,7 +29,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DimensionError
-from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, reshape
+from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, recording, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -187,9 +193,10 @@ def _windows(a: np.ndarray) -> list[np.ndarray]:
 def maxpool3d(x: Tensor) -> Tensor:
     """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax.
 
-    Neither direction copies x: the windows are strided views (`_windows`), the
-    node keeps a uint8 first argmax, and backward copies g into each view of a
-    zeroed dx where that window position won.
+    Neither direction copies x: the windows are strided views (`_windows`). A
+    zero output takes the sign of its window's first zero, the first argmax.
+    Only when recording does the node keep a uint8 first argmax; backward copies
+    g into each view of a zeroed dx where that window position won.
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [B,C,D,H,W], got {x.shape}")
@@ -201,15 +208,18 @@ def maxpool3d(x: Tensor) -> Tensor:
     out_data = views[0].copy()
     for view in views[1:]:
         np.maximum(out_data, view, out=out_data)
-    arg = np.full(out_data.shape, 7, np.uint8)
-    hit = np.empty(out_data.shape, bool)
-    for t in range(6, -1, -1):  # written last, the lowest index that attains the max wins
-        np.equal(views[t], out_data, out=hit)
-        np.copyto(arg, t, where=hit)
+    arg = np.empty(out_data.shape, np.uint8) if recording(x) else None  # every entry is written below
     zero = out_data == 0  # np.maximum may keep either zero of a -0.0/+0.0 tie
-    for t, view in enumerate(views):
-        np.logical_and(arg == t, zero, out=hit)
-        np.copyto(out_data, view, where=hit)  # so a zero output is the first argmax's, sign included
+    fix = zero.any()
+    if arg is not None or fix:
+        hit = np.empty(out_data.shape, bool)
+        for t in range(7, -1, -1):  # written last, the lowest index that attains the max wins
+            np.equal(views[t], out_data, out=hit)
+            if arg is not None:
+                np.copyto(arg, t, where=hit)
+            if fix:  # so a zero output is the first argmax's, sign included
+                hit &= zero
+                np.copyto(out_data, views[t], where=hit)
 
     def bwd(g):
         dx = np.zeros(shape, dtype)
@@ -228,6 +238,9 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
     2016). With `stats=(mean, var)`, arrays broadcastable to x, they are
     constants. gamma and beta broadcast against x. Returns the output and the
     (mean, var) used, reduced with keepdims.
+
+    When recording, the node keeps x-hat beside the output. With `stats` and
+    not recording, x-hat is computed in the output buffer.
     """
     axes = _normalize_axes(axes, x.ndim)
     if stats is None:
@@ -238,16 +251,18 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
     else:
         mean, var = (np.asarray(a, dtype=x.dtype) for a in stats)
         xhat = x.data - mean
-        out_data = np.empty_like(xhat)
+        out_data = np.empty_like(xhat) if recording(x, gamma, beta) else xhat
     std = np.sqrt(var + EPS)
     xhat /= std
     np.multiply(xhat, gamma.data, out=out_data)
     out_data += beta.data
     per_channel = gamma.ndim == x.ndim and all(gamma.shape[a] == 1 for a in axes)  # BatchNorm
+    n = math.prod(x.shape[a] for a in axes)
 
     def bwd(g):
         gx = g * xhat  # the one full-size buffer: dgamma is reduced from it, then it becomes dx
         dgamma = _unbroadcast(gx, gamma.shape).copy()  # a copy even where nothing was summed
+        dbeta = _unbroadcast(g, beta.shape)
         if not per_channel:  # LayerNorm: gamma varies along the reduced axis
             np.multiply(g, gamma.data, out=gx)
             if stats is None:
@@ -256,13 +271,13 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
                 gx -= xhat * m2
             gx /= std
         elif stats is None:  # (gamma/std) (g - mean(g) - xhat mean(g xhat)), through mu and var
-            np.multiply(xhat, gx.mean(axis=axes, keepdims=True), out=gx)
+            np.multiply(xhat, dgamma / n, out=gx)  # the means are the sums dgamma and dbeta over n
             np.subtract(g, gx, out=gx)
-            gx -= g.mean(axis=axes, keepdims=True)
+            gx -= dbeta / n
             gx *= gamma.data / std
         else:
             np.multiply(g, gamma.data / std, out=gx)
-        return gx, dgamma, _unbroadcast(g, beta.shape)
+        return gx, dgamma, dbeta
 
     return apply_op(out_data, (x, gamma, beta), bwd), (mean, var)
 
@@ -320,13 +335,23 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
+    """Exact GELU: 0.5 x (1 + erf(x / sqrt(2))).
+
+    Only when recording does the forward compute the slope cdf(x) + x pdf(x),
+    in one buffer; the node keeps that slope and neither x nor the cdf.
+    """
     cdf = 0.5 * (1.0 + erf(x.data / SQRT2))
     out_data = x.data * cdf
+    if recording(x):
+        slope = np.multiply(x.data, -0.5)
+        slope *= x.data
+        np.exp(slope, out=slope)
+        slope *= INV_SQRT_2PI  # the pdf
+        slope *= x.data
+        slope += cdf
 
     def bwd(g):
-        pdf = INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        return (g * slope,)
 
     return apply_op(out_data, (x,), bwd)
 
@@ -339,10 +364,11 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     al. 2022). The output and the gradients are written through the same
     views, so the result is [*, n, d] with the heads concatenated. The G
     sequences are walked in chunks whose [g, heads, n, n] score block fits in
-    _CHUNK_BYTES. The node keeps q, k, v, the output and one log-sum-exp per
-    query row, and backward recomputes each chunk's weights from them (Rabe &
-    Staats 2021), so no n x n array outlives its chunk. Both forward products
-    go through `matmul`, which checks the scores and the weights for non-finite values.
+    _CHUNK_BYTES. When recording, the node keeps q, k, v, the output and one
+    log-sum-exp per query row, and backward recomputes each chunk's weights
+    from them (Rabe & Staats 2021), so no n x n array outlives its chunk. Both
+    forward products go through `matmul`, which checks the scores and the
+    weights for non-finite values.
     """
     if q.ndim < 2 or not (q.shape == k.shape == v.shape):
         raise DimensionError(
@@ -361,7 +387,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     chunks = [slice(*r) for r in _chunks(len(qh), heads * n * n * q.data.itemsize)]
     out = np.empty(shape, q.dtype)
     outh = split(out)
-    lse = np.empty(qh.shape[:3] + (1,), q.dtype)
+    lse = np.empty(qh.shape[:3] + (1,), q.dtype) if recording(q, k, v) else None
     for c in chunks:
         s = matmul(qh[c], np.swapaxes(kh[c], -1, -2)).data
         s *= scale
@@ -371,7 +397,8 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         total = s.sum(axis=-1, keepdims=True)
         s /= total
         outh[c] = matmul(s, vh[c]).data
-        lse[c] = top + np.log(total)
+        if lse is not None:
+            lse[c] = top + np.log(total)
         del s  # so no two chunks' score blocks are alive at once
 
     def bwd(g):

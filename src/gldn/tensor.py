@@ -177,6 +177,11 @@ def as_tensor(value, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(value), dtype=dtype)
 
 
+def recording(*inputs) -> bool:
+    """Whether an op on `inputs` records a node, so its backward rule's state is needed."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> Tensor:
     """Create the output of a differentiable primitive and record its node.
 
@@ -189,8 +194,7 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> T
             f"non-finite values produced by forward op {backward_fn.__qualname__}"
             f" (output shape {out_data.shape}, dtype {out_data.dtype})"
         )
-    requires = _grad_enabled and any(t.requires_grad for t in inputs)
-    if not requires:
+    if not recording(*inputs):
         return Tensor._from_op(out_data, False, None)
     parents = tuple(t._node or (t if t.requires_grad else None) for t in inputs)
     return Tensor._from_op(out_data, True, TapeNode(parents, backward_fn))

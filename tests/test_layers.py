@@ -1,5 +1,6 @@
 """Layer ops: spec'd shape/value cases, brute-force oracles, gradient checks."""
 
+import contextlib
 import gc
 import tracemalloc
 import weakref
@@ -254,8 +255,15 @@ class TestMaxPool3d:
         (res,) = grad_check(lambda t: (L.maxpool3d(t) * 0.3).sum(), [x], tol=1e-6)
         assert res.passed, res
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_transposed_reference(self, dtype):
+    @pytest.mark.parametrize(
+        "dtype, record",
+        [
+            pytest.param(dtype, record, id=np.dtype(dtype).name + ("" if record else "-no_grad"))
+            for record in (True, False)
+            for dtype in (np.float32, np.float64)
+        ],
+    )
+    def test_matches_transposed_reference(self, dtype, record):
         rng = np.random.default_rng(3)
         # relu of small integers: most windows tie, and relu gives -0.0 for a
         # negative input and +0.0 for a zero, so tied zeros differ in sign
@@ -263,12 +271,17 @@ class TestMaxPool3d:
         zeros = np.signbit(data[data == 0])
         assert zeros.any() and not zeros.all()
         x = Tensor(data, requires_grad=True)
-        out = L.maxpool3d(x)
+        with contextlib.nullcontext() if record else T.no_grad():
+            out = L.maxpool3d(x)
         g = rng.normal(size=out.shape).astype(dtype)
         g[..., 0] = -0.0
-        (dx,) = out._node.backward_fn(g)
         want_out, want_dx = maxpool_transposed(data, g)
-        for got, want in ((out.data, want_out), (dx, want_dx)):
+        pairs = [(out.data, want_out)]
+        if record:
+            pairs.append((out._node.backward_fn(g)[0], want_dx))
+        else:
+            assert out._node is None
+        for got, want in pairs:
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
 
@@ -601,6 +614,14 @@ class TestGelu:
         (res,) = grad_check(lambda t: L.gelu(t).sum(), [x], tol=1e-6)
         assert res.passed, res
 
+    def test_keeps_only_its_slope(self):
+        # the pre-activation is an op output whose own rule keeps nothing, so
+        # once dropped it lives only if gelu's node holds it
+        w = Tensor(np.random.default_rng(5).normal(size=(64, 1024)).astype(np.float32), requires_grad=True)
+        out, retained, _ = traced_bytes(lambda: L.gelu(w + 0.0))
+        extra = retained - out.data.nbytes
+        assert extra <= 1.1 * out.data.nbytes, extra / out.data.nbytes
+
 
 def attention_bruteforce(q, k, v):
     """Direct evaluation of the attention formula with explicit loops."""
@@ -848,6 +869,24 @@ class TestFullSizeRuleMemory:
         _, _, peak = traced_bytes(lambda: out._node.backward_fn(g))
         assert peak <= 1.25 * x.data.nbytes, peak / x.data.nbytes
 
+    def test_batchnorm_eval_no_grad_holds_only_its_output(self):
+        rng = np.random.default_rng(63)
+        x = self.leaf(rng)
+        c = self.shape[1]
+        s = L.BatchNorm3dState(
+            gamma=Tensor(rng.uniform(0.5, 2.0, size=c).astype(np.float32), requires_grad=True),
+            beta=Tensor(rng.normal(size=c).astype(np.float32), requires_grad=True),
+            running_mean=rng.normal(size=c).astype(np.float32),
+            running_var=rng.uniform(0.5, 3.0, size=c).astype(np.float32),
+        )
+
+        def forward():
+            with T.no_grad():
+                return L.batchnorm3d(x, s)
+
+        _, _, peak = traced_bytes(forward)
+        assert peak <= 1.1 * x.data.nbytes, peak / x.data.nbytes
+
 
 def mha_params(d, heads, rng=None, dtype=np.float64, identity=False):
     def mk(shape):
@@ -947,6 +986,15 @@ class TestEncoderLayer:
         ops = tape_ops(L.transformer_encoder_layer(x, encoder_params(8, 2, rng)))
         assert ops["scaled_dot_attention"] == 1
         assert ops["permute_axes"] == ops["reshape"] == 0, ops
+
+    def test_retains_seventeen_inputs(self):
+        # d-wide: the two LayerNorms' x-hat and output, q, k, v, the attention
+        # output and the layer output (9); 4d-wide: GELU's slope and output (2 x 4)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(16, 64, 32)).astype(np.float32), requires_grad=True)
+        p = encoder_params(32, 4, rng, dtype=np.float32)
+        _, retained, _ = traced_bytes(lambda: L.transformer_encoder_layer(x, p))
+        assert retained <= 17.5 * x.data.nbytes, retained / x.data.nbytes
 
     def test_grad_check_d4_n3(self):
         rng = np.random.default_rng(2)
