@@ -16,7 +16,11 @@ around it is composed from tensor primitives and tapes no reshape or transpose.
 Saved state is built only when `tensor.recording` says the node is recorded:
 the pool's argmax, BatchNorm eval's x-hat beside its output, GELU's slope and
 attention's log-sum-exp. So an eval forward under `no_grad` builds none of
-them, and eval BatchNorm holds one full-size array, not two.
+them, and eval BatchNorm holds one full-size array, not two. The pool's
+zero-sign pass runs only when its input holds a -0.0: with a model's initial
+running statistics, about half of an eval `relu_bn` pool's input is exactly 0,
+but +0.0. GELU's erf is scipy's in float64 and a blocked float32 rational in
+float32.
 """
 
 from __future__ import annotations
@@ -190,13 +194,27 @@ def _windows(a: np.ndarray) -> list[np.ndarray]:
     return [a[:, :, i::2, j::2, k::2] for i, j, k in product(range(2), repeat=3)]
 
 
+def _has_negative_zero(a: np.ndarray) -> bool:
+    """Whether float array `a` holds a -0.0, by one reduction and no temporary.
+
+    Read as a signed integer of the same width, -0.0 is the only float whose
+    bits are the integer minimum (sign bit alone).
+    """
+    bits = a.view(np.dtype(f"i{a.itemsize}"))
+    return bool(bits.min() == np.iinfo(bits.dtype).min)
+
+
 def maxpool3d(x: Tensor) -> Tensor:
     """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax.
 
     Neither direction copies x: the windows are strided views (`_windows`). A
     zero output takes the sign of its window's first zero, the first argmax.
-    Only when recording does the node keep a uint8 first argmax; backward copies
-    g into each view of a zeroed dx where that window position won.
+    That needs a pass over the windows only when some output is 0 and x holds a
+    -0.0: relu writes one for each negative input, while eval BatchNorm with a
+    model's initial running statistics maps relu's zeros to +0.0, so an eval
+    `relu_bn` pool, where about half the inputs are then 0, skips it. Only when recording does the node keep a
+    uint8 first argmax; backward copies g into each view of a zeroed dx where
+    that window position won.
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [B,C,D,H,W], got {x.shape}")
@@ -210,7 +228,7 @@ def maxpool3d(x: Tensor) -> Tensor:
         np.maximum(out_data, view, out=out_data)
     arg = np.empty(out_data.shape, np.uint8) if recording(x) else None  # every entry is written below
     zero = out_data == 0  # np.maximum may keep either zero of a -0.0/+0.0 tie
-    fix = zero.any()
+    fix = zero.any() and _has_negative_zero(x.data)  # else every zero is +0.0 and the chain's is right
     if arg is not None or fix:
         hit = np.empty(out_data.shape, bool)
         for t in range(7, -1, -1):  # written last, the lowest index that attains the max wins
@@ -334,21 +352,66 @@ def softmax(x: Tensor) -> Tensor:
     return apply_op(y, (x,), bwd)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: 0.5 x (1 + erf(x / sqrt(2))).
+# Float32 erf(z) ~ z P(z^2) / Q(z^2) on z clipped to [-4, 4], where float32 erf is +-1: Eigen's
+# and XLA's float32 rational, highest power first, within 4.4e-7 of erf over [-6, 6].
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+          -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+          -1.42647390514189e-02)
+_ERF_BLOCK = 32 << 10  # elements per block, so a block's scratch arrays stay in cache
 
-    Only when recording does the forward compute the slope cdf(x) + x pdf(x),
-    in one buffer; the node keeps that slope and neither x nor the cdf.
+
+def _horner(z2: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients `coef` (highest power first) at z2, in `out`."""
+    np.multiply(z2, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= z2
+    out += coef[-1]
+    return out
+
+
+def _phi32(x: np.ndarray) -> np.ndarray:
+    """The normal cdf 0.5 (1 + erf(x / sqrt(2))) of float32 x, erf from _ERF_P / _ERF_Q.
+
+    In-place float32 ufuncs over blocks of _ERF_BLOCK elements; scipy's erf
+    would work in double.
     """
-    cdf = 0.5 * (1.0 + erf(x.data / SQRT2))
-    out_data = x.data * cdf
+    flat = x.reshape(-1)
+    phi = np.empty(flat.shape, np.float32)
+    z2, p, q = (np.empty(min(_ERF_BLOCK, flat.size), np.float32) for _ in range(3))
+    for i0 in range(0, flat.size, _ERF_BLOCK):
+        z = phi[i0 : i0 + _ERF_BLOCK]
+        m = len(z)
+        np.multiply(flat[i0 : i0 + m], 1.0 / SQRT2, out=z)
+        np.clip(z, -4.0, 4.0, out=z)
+        np.multiply(z, z, out=z2[:m])
+        z *= _horner(z2[:m], _ERF_P, p[:m])
+        z /= _horner(z2[:m], _ERF_Q, q[:m])
+        z += 1.0
+        z *= 0.5
+    return phi.reshape(x.shape)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact GELU: 0.5 x (1 + erf(x / sqrt(2))) (Hendrycks & Gimpel 2016).
+
+    float64 takes scipy's erf; float32 takes `_phi32`, within 1e-6 max(1, |x|)
+    of it. Only when recording does the forward compute the slope
+    cdf(x) + x pdf(x), in one buffer; the node keeps that slope and neither x
+    nor the cdf. Otherwise the output is written into the cdf's buffer.
+    """
+    cdf = _phi32(x.data) if x.dtype == np.float32 else 0.5 * (1.0 + erf(x.data / SQRT2))
     if recording(x):
+        out_data = x.data * cdf
         slope = np.multiply(x.data, -0.5)
         slope *= x.data
         np.exp(slope, out=slope)
         slope *= INV_SQRT_2PI  # the pdf
         slope *= x.data
         slope += cdf
+    else:
+        out_data = np.multiply(x.data, cdf, out=cdf)
 
     def bwd(g):
         return (g * slope,)

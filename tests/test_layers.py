@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from gldn import layers as L
 from gldn import tensor as T
@@ -256,20 +257,34 @@ class TestMaxPool3d:
         assert res.passed, res
 
     @pytest.mark.parametrize(
-        "dtype, record",
+        "dtype, record, signed_zeros",
         [
-            pytest.param(dtype, record, id=np.dtype(dtype).name + ("" if record else "-no_grad"))
+            pytest.param(
+                dtype,
+                record,
+                signed_zeros,
+                id=np.dtype(dtype).name
+                + ("" if record else "-no_grad")
+                + ("" if signed_zeros else "-plus_zeros"),
+            )
+            for signed_zeros in (True, False)
             for record in (True, False)
             for dtype in (np.float32, np.float64)
         ],
     )
-    def test_matches_transposed_reference(self, dtype, record):
+    def test_matches_transposed_reference(self, dtype, record, signed_zeros):
         rng = np.random.default_rng(3)
-        # relu of small integers: most windows tie, and relu gives -0.0 for a
-        # negative input and +0.0 for a zero, so tied zeros differ in sign
-        data = L.relu(Tensor(rng.integers(-3, 4, size=(2, 3, 4, 6, 8)).astype(dtype))).data
-        zeros = np.signbit(data[data == 0])
-        assert zeros.any() and not zeros.all()
+        ints = rng.integers(-3, 4, size=(2, 3, 4, 6, 8)).astype(dtype)  # most windows tie
+        if signed_zeros:
+            # relu gives -0.0 for a negative input and +0.0 for a zero, so
+            # tied zeros differ in sign and the zero-sign pass must run
+            data = L.relu(Tensor(ints)).data
+            zeros = np.signbit(data[data == 0])
+            assert zeros.any() and not zeros.all()
+        else:
+            # every zero is +0.0, as after eval BatchNorm: the pass is skipped
+            data = np.maximum(ints, 0.0)
+            assert (data == 0).any() and not L._has_negative_zero(data)
         x = Tensor(data, requires_grad=True)
         with contextlib.nullcontext() if record else T.no_grad():
             out = L.maxpool3d(x)
@@ -284,6 +299,19 @@ class TestMaxPool3d:
         for got, want in pairs:
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_test(self, dtype):
+        info = np.finfo(dtype)
+        others = [0.0, -info.smallest_subnormal, -np.inf, -np.nan, info.min, info.max]
+        base = np.array(others, dtype)
+        assert np.signbit(base[[1, 2, 3, 4]]).all()  # the sign bit alone does not count
+        assert not L._has_negative_zero(base)
+        for i in range(len(base)):
+            with_neg_zero = base.copy()
+            with_neg_zero[i] = -0.0
+            assert L._has_negative_zero(with_neg_zero)
+        assert L._has_negative_zero(np.full((2, 3), -0.0, dtype)[:, ::2])  # strided views too
 
 
 def maxpool_transposed(x, g):
@@ -613,6 +641,32 @@ class TestGelu:
         x = t64(np.random.default_rng(0).normal(size=8))
         (res,) = grad_check(lambda t: L.gelu(t).sum(), [x], tol=1e-6)
         assert res.passed, res
+
+    def test_float64_is_the_scipy_formula(self):
+        x = np.random.default_rng(6).normal(scale=3.0, size=(16, 64))
+        want = 0.5 * x * (1 + erf(x / L.SQRT2))
+        assert L.gelu(Tensor(x)).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
+    def test_float32_matches_float64_formula(self, record):
+        grid = np.linspace(-10.0, 10.0, 200_001)
+        edges = [0.0, -0.0, 1e-30, -1e-30, 1e4, -1e4]
+        x32 = np.concatenate([grid, edges]).astype(np.float32)
+        x = x32.astype(np.float64)
+        cdf = 0.5 * (1 + erf(x / L.SQRT2))
+        want_out = x * cdf
+        want_slope = cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
+        t = Tensor(x32, requires_grad=True)
+        with contextlib.nullcontext() if record else T.no_grad():
+            out = L.gelu(t)
+        assert out.dtype == np.float32
+        bound = 1e-6 * np.maximum(1.0, np.abs(x))
+        pairs = [(out.data, want_out)]
+        if record:
+            pairs.append((out._node.backward_fn(np.ones_like(x32))[0], want_slope))
+        for got, want in pairs:
+            err = np.abs(got.astype(np.float64) - want)
+            assert (err <= bound).all(), (err / bound).max()
 
     def test_keeps_only_its_slope(self):
         # the pre-activation is an op output whose own rule keeps nothing, so

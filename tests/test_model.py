@@ -1,5 +1,6 @@
 """Model assembly: fusion blocks, head, ablations, init, checkpoints."""
 
+import contextlib
 import io
 import os
 import struct
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gldn import model as M
 from gldn.errors import ConfigError, DimensionError, FormatError
-from gldn.tensor import Tensor, backward, grad_check
+from gldn.tensor import Tensor, backward, grad_check, no_grad
 
 FULL = M.ModelConfig(input_shape=(96, 112, 96))
 DESK = M.ModelConfig(input_shape=(32, 48, 32))
@@ -168,6 +169,19 @@ class TestBuildModel:
         a = model.forward(x, training=False).data
         b = model.forward(x, training=False).data
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_float32_matches_float64_build(self, training):
+        # float32 has its own erf in GELU and its own rounding everywhere else;
+        # eval runs under no_grad, train on the tape
+        x = rand_input((8, 8, 8), batch=2, seed=18, dtype=np.float64)
+        probs = {}
+        for dtype in (np.float32, np.float64):
+            model = M.build_model(tiny_config(), seed=19, dtype=dtype)
+            with contextlib.nullcontext() if training else no_grad():
+                probs[dtype] = model.forward(Tensor(x.data.astype(dtype)), training=training).data
+        assert probs[np.float32].dtype == np.float32
+        np.testing.assert_allclose(probs[np.float32], probs[np.float64], rtol=0, atol=1e-5)
 
     def test_same_seed_bitwise_identical(self):
         a = M.build_model(tiny_config(), seed=7)
