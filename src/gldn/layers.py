@@ -16,11 +16,11 @@ around it is composed from tensor primitives and tapes no reshape or transpose.
 Saved state is built only when `tensor.recording` says the node is recorded:
 the pool's argmax, BatchNorm eval's x-hat beside its output, GELU's slope and
 attention's log-sum-exp. So an eval forward under `no_grad` builds none of
-them, and eval BatchNorm holds one full-size array, not two. The pool's
-zero-sign pass runs only when its input holds a -0.0: with a model's initial
-running statistics, about half of an eval `relu_bn` pool's input is exactly 0,
-but +0.0. GELU's erf is scipy's in float64 and a blocked float32 rational in
-float32.
+them, and eval BatchNorm holds one full-size array, not two. GELU's erf is
+scipy's in float64 and a blocked float32 rational in float32.
+
+Outputs and gradients are specified as values: the sign of an exact zero is
+unspecified, and relu and the pool may write either.
 """
 
 from __future__ import annotations
@@ -181,12 +181,12 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # subgradient at 0 defined as 0
+    mask = x.data > 0 if recording(x) else None  # subgradient at 0 defined as 0
 
     def bwd(g):
         return (g * mask,)
 
-    return apply_op(x.data * mask, (x,), bwd, check=False)
+    return apply_op(np.maximum(x.data, 0), (x,), bwd, check=False)
 
 
 def _windows(a: np.ndarray) -> list[np.ndarray]:
@@ -194,27 +194,12 @@ def _windows(a: np.ndarray) -> list[np.ndarray]:
     return [a[:, :, i::2, j::2, k::2] for i, j, k in product(range(2), repeat=3)]
 
 
-def _has_negative_zero(a: np.ndarray) -> bool:
-    """Whether float array `a` holds a -0.0, by one reduction and no temporary.
-
-    Read as a signed integer of the same width, -0.0 is the only float whose
-    bits are the integer minimum (sign bit alone).
-    """
-    bits = a.view(np.dtype(f"i{a.itemsize}"))
-    return bool(bits.min() == np.iinfo(bits.dtype).min)
-
-
 def maxpool3d(x: Tensor) -> Tensor:
     """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax.
 
-    Neither direction copies x: the windows are strided views (`_windows`). A
-    zero output takes the sign of its window's first zero, the first argmax.
-    That needs a pass over the windows only when some output is 0 and x holds a
-    -0.0: relu writes one for each negative input, while eval BatchNorm with a
-    model's initial running statistics maps relu's zeros to +0.0, so an eval
-    `relu_bn` pool, where about half the inputs are then 0, skips it. Only when recording does the node keep a
-    uint8 first argmax; backward copies g into each view of a zeroed dx where
-    that window position won.
+    Neither direction copies x: the windows are strided views (`_windows`).
+    Only when recording does the node keep a uint8 first argmax; backward
+    writes g into each view of dx where that window position won, and 0 elsewhere.
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [B,C,D,H,W], got {x.shape}")
@@ -226,23 +211,18 @@ def maxpool3d(x: Tensor) -> Tensor:
     out_data = views[0].copy()
     for view in views[1:]:
         np.maximum(out_data, view, out=out_data)
-    arg = np.empty(out_data.shape, np.uint8) if recording(x) else None  # every entry is written below
-    zero = out_data == 0  # np.maximum may keep either zero of a -0.0/+0.0 tie
-    fix = zero.any() and _has_negative_zero(x.data)  # else every zero is +0.0 and the chain's is right
-    if arg is not None or fix:
+    arg = None
+    if recording(x):
+        arg = np.empty(out_data.shape, np.uint8)  # every entry is written below
         hit = np.empty(out_data.shape, bool)
         for t in range(7, -1, -1):  # written last, the lowest index that attains the max wins
             np.equal(views[t], out_data, out=hit)
-            if arg is not None:
-                np.copyto(arg, t, where=hit)
-            if fix:  # so a zero output is the first argmax's, sign included
-                hit &= zero
-                np.copyto(out_data, views[t], where=hit)
+            np.copyto(arg, t, where=hit)
 
     def bwd(g):
-        dx = np.zeros(shape, dtype)
+        dx = np.empty(shape, dtype)  # the 8 views tile dx, so each entry is written once
         for t, view in enumerate(_windows(dx)):
-            np.copyto(view, g, where=arg == t)
+            np.multiply(g, arg == t, out=view)
         return (dx,)
 
     return apply_op(out_data, (x,), bwd, check=False)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gldn import model as M
 from gldn.errors import ConfigError, DimensionError, FormatError
-from gldn.tensor import Tensor, backward, grad_check, no_grad
+from gldn.tensor import Tensor, apply_op, backward, grad_check, no_grad
 
 FULL = M.ModelConfig(input_shape=(96, 112, 96))
 DESK = M.ModelConfig(input_shape=(32, 48, 32))
@@ -333,6 +333,48 @@ class TestEndToEndGradient:
         backward((out * np.random.default_rng(17).normal(size=(2, 84))).sum())
         for name, t in model.parameters().items():
             assert t.grad.dtype == np.float32, name
+
+
+class TestZeroSign:
+    """The sign of an exact zero is unspecified, and no result depends on it.
+
+    A relu that writes -0.0 for every negative input (x * (x > 0)) must leave
+    the train output, every parameter grad, the BatchNorm running statistics
+    and the eval output after one SGD step byte-identical to the model's relu.
+    """
+
+    def step(self, order, dtype):
+        model = M.build_model(tiny_config(input_shape=(16, 16, 16), conv_order=order), seed=21, dtype=dtype)
+        x = rand_input((16, 16, 16), batch=2, seed=22, dtype=dtype)
+        train = model.forward(x, training=True)
+        backward((train * np.random.default_rng(23).normal(size=(2, 84))).sum())
+        arrays = {"train": train.data}
+        for name, t in model.parameters().items():
+            arrays[name + ".grad"] = t.grad.copy()
+            t.data -= 0.1 * t.grad
+        with no_grad():
+            arrays["eval"] = model.forward(x).data
+        arrays.update(model.store.buffers)
+        return arrays
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["relu_bn", "bn_relu"])
+    def test_relu_zero_sign_never_reaches_a_result(self, monkeypatch, order, dtype):
+        negative_zeros = []
+
+        def relu_writing_negative_zeros(x):
+            mask = x.data > 0
+            out = x.data * mask
+            negative_zeros.append(np.signbit(out[out == 0]).any())
+            return apply_op(out, (x,), lambda g: (g * mask,), check=False)
+
+        want = self.step(order, dtype)
+        monkeypatch.setattr(M, "relu", relu_writing_negative_zeros)
+        got = self.step(order, dtype)
+        assert len(negative_zeros) == 4 and all(negative_zeros)  # 2 conv blocks, train and eval
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestCheckpoint:
