@@ -17,7 +17,8 @@ Saved state is built only when `tensor.recording` says the node is recorded:
 the pool's argmax, BatchNorm eval's x-hat beside its output, GELU's slope and
 attention's log-sum-exp. So an eval forward under `no_grad` builds none of
 them, and eval BatchNorm holds one full-size array, not two. GELU's erf is
-scipy's in float64 and a blocked float32 rational in float32.
+the standard library's `math.erf` in float64 and a blocked float32 rational
+in float32.
 
 Outputs and gradients are specified as values: the sign of an exact zero is
 unspecified, and relu and the pool may write either.
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DimensionError
 from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, recording, reshape
@@ -39,6 +39,7 @@ SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 EPS = 1e-5  # variance floor of BatchNorm and LayerNorm
 MOMENTUM = 0.1  # BatchNorm running-statistics update rate
+_erf = np.vectorize(math.erf, otypes=[np.float64])  # float64 erf, elementwise
 
 
 # -- parameter containers ------------------------------------------------------
@@ -71,11 +72,6 @@ class AttentionParams:
     bv: Tensor
     bo: Tensor
     heads: int
-
-    def __post_init__(self):
-        d = self.wq.shape[0]
-        if d % self.heads != 0:
-            raise DimensionError(f"embed dim {d} not divisible by {self.heads} heads")
 
 
 @dataclass
@@ -352,46 +348,49 @@ def _horner(z2: np.ndarray, coef: tuple[float, ...], out: np.ndarray) -> np.ndar
 
 
 def _phi32(x: np.ndarray) -> np.ndarray:
-    """The normal cdf 0.5 (1 + erf(x / sqrt(2))) of float32 x, erf from _ERF_P / _ERF_Q.
+    """The normal cdf 0.5 (1 + erf(x / sqrt(2))) of 1-d float32 x, erf from _ERF_P / _ERF_Q.
 
-    In-place float32 ufuncs over blocks of _ERF_BLOCK elements; scipy's erf
-    would work in double.
+    In-place float32 ufuncs over blocks of _ERF_BLOCK elements, so no float64
+    temporary is made.
     """
-    flat = x.reshape(-1)
-    phi = np.empty(flat.shape, np.float32)
-    z2, p, q = (np.empty(min(_ERF_BLOCK, flat.size), np.float32) for _ in range(3))
-    for i0 in range(0, flat.size, _ERF_BLOCK):
+    phi = np.empty(x.shape, np.float32)
+    z2, p, q = (np.empty(min(_ERF_BLOCK, x.size), np.float32) for _ in range(3))
+    for i0 in range(0, x.size, _ERF_BLOCK):
         z = phi[i0 : i0 + _ERF_BLOCK]
         m = len(z)
-        np.multiply(flat[i0 : i0 + m], 1.0 / SQRT2, out=z)
+        np.multiply(x[i0 : i0 + m], 1.0 / SQRT2, out=z)
         np.clip(z, -4.0, 4.0, out=z)
         np.multiply(z, z, out=z2[:m])
         z *= _horner(z2[:m], _ERF_P, p[:m])
         z /= _horner(z2[:m], _ERF_Q, q[:m])
         z += 1.0
         z *= 0.5
-    return phi.reshape(x.shape)
+    return phi
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt(2))) (Hendrycks & Gimpel 2016).
 
-    float64 takes scipy's erf; float32 takes `_phi32`, within 1e-6 max(1, |x|)
-    of it. Only when recording does the forward compute the slope
-    cdf(x) + x pdf(x), in one buffer; the node keeps that slope and neither x
-    nor the cdf. Otherwise the output is written into the cdf's buffer.
+    float64 takes `math.erf` per element; float32 takes `_phi32`, within
+    1e-6 max(1, |x|) of the float64 GELU. Both work on the flat view of x, so
+    a 0-d x is one element. Only when recording does the forward compute the
+    slope cdf(x) + x pdf(x), in one buffer; the node keeps that slope and
+    neither x nor the cdf. Otherwise the output is written into the cdf's
+    buffer.
     """
-    cdf = _phi32(x.data) if x.dtype == np.float32 else 0.5 * (1.0 + erf(x.data / SQRT2))
+    xf = x.data.reshape(-1)
+    cdf = _phi32(xf) if x.dtype == np.float32 else 0.5 * (1.0 + _erf(xf / SQRT2))
     if recording(x):
-        out_data = x.data * cdf
-        slope = np.multiply(x.data, -0.5)
-        slope *= x.data
+        out_data = (xf * cdf).reshape(x.shape)
+        slope = np.multiply(xf, -0.5)
+        slope *= xf
         np.exp(slope, out=slope)
         slope *= INV_SQRT_2PI  # the pdf
-        slope *= x.data
+        slope *= xf
         slope += cdf
+        slope = slope.reshape(x.shape)
     else:
-        out_data = np.multiply(x.data, cdf, out=cdf)
+        out_data = np.multiply(xf, cdf, out=cdf).reshape(x.shape)
 
     def bwd(g):
         return (g * slope,)

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import math
 import tracemalloc
 import weakref
 from collections import Counter
@@ -629,10 +630,35 @@ class TestGelu:
         (res,) = grad_check(lambda t: L.gelu(t).sum(), [x], tol=1e-6)
         assert res.passed, res
 
-    def test_float64_is_the_scipy_formula(self):
+    def test_float64_is_the_erf_formula(self):
         x = np.random.default_rng(6).normal(scale=3.0, size=(16, 64))
-        want = 0.5 * x * (1 + erf(x / L.SQRT2))
-        assert L.gelu(Tensor(x)).data.tobytes() == want.tobytes()
+        want = np.array([0.5 * v * (1 + math.erf(v / L.SQRT2)) for v in x.ravel()]).reshape(x.shape)
+        got = L.gelu(Tensor(x)).data
+        assert got.tobytes() == want.tobytes()
+        # math.erf against scipy's, an independent implementation
+        err = np.abs(got - 0.5 * x * (1 + erf(x / L.SQRT2)))
+        assert (err <= 1e-15 * np.maximum(1.0, np.abs(x))).all(), err.max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
+    def test_zero_dim(self, record, dtype):
+        t = Tensor(np.array([0.3, 0.4], dtype=dtype), requires_grad=True)
+        with contextlib.nullcontext() if record else T.no_grad():
+            out = L.gelu(T.tsum(t))
+        v = float(t.data.sum())
+        cdf = 0.5 * (1 + math.erf(v / math.sqrt(2)))
+        tol = 1e-6 if dtype == np.float32 else 1e-15
+        assert out.shape == () and out.dtype == dtype
+        assert abs(float(out.data) - v * cdf) <= tol
+        if record:
+            backward(out)
+            slope = cdf + v * math.exp(-0.5 * v * v) / math.sqrt(2 * math.pi)
+            np.testing.assert_allclose(t.grad, [slope, slope], rtol=tol)
+
+    def test_grad_check_zero_dim(self):
+        x = t64(np.random.default_rng(7).normal(size=3))
+        (res,) = grad_check(lambda t: L.gelu(T.tsum(t)), [x], tol=1e-6)
+        assert res.passed, res
 
     @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
     def test_float32_matches_float64_formula(self, record):
@@ -997,8 +1023,9 @@ class TestMultiHeadAttention:
 
     def test_indivisible_heads_rejected(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(DimensionError, match="divisible"):
-            mha_params(6, 4, rng)
+        p = mha_params(6, 4, rng)
+        with pytest.raises(DimensionError, match="split"):
+            L.multi_head_attention(Tensor(rng.normal(size=(3, 6))), p)
 
     def test_grad_check(self):
         rng = np.random.default_rng(4)

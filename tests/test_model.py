@@ -1,9 +1,13 @@
-"""Model assembly: fusion blocks, head, ablations, init, checkpoints."""
+"""Model assembly: fusion blocks, head, ablations, init, checkpoints, dependencies."""
 
+import ast
 import contextlib
 import io
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,27 @@ def tiny_config(**overrides):
 def rand_input(shape, batch=1, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     return Tensor(rng.normal(size=(batch, 1) + tuple(shape)).astype(dtype))
+
+
+def test_runtime_needs_only_numpy():
+    package = Path(M.__file__).parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(package.parent)!r}); import gldn.model; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]", run.stdout
+    allowed = {"gldn", "numpy"} | set(sys.stdlib_module_names)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one: gldn itself
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 class TestCnnBlock:
