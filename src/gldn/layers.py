@@ -33,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, _normalize_axes, _unbroadcast, apply_op, matmul, recording, reshape
+from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, apply_op, matmul, recording, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -236,7 +236,7 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
     When recording, the node keeps x-hat beside the output. With `stats` and
     not recording, x-hat is computed in the output buffer.
     """
-    axes = _normalize_axes(axes, x.ndim)
+    axes = _normalize_axes(axes, x.shape)
     if stats is None:
         mean = x.data.mean(axis=axes, keepdims=True)
         xhat = x.data - mean
@@ -244,12 +244,12 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
         var = out_data.mean(axis=axes, keepdims=True)
     else:
         mean, var = (np.asarray(a, dtype=x.dtype) for a in stats)
-        xhat = x.data - mean
+        xhat = _fit(np.subtract, x.data, mean, np.empty_like(x.data))  # x's shape: a wider mean raises
         out_data = np.empty_like(xhat) if recording(x, gamma, beta) else xhat
     std = np.sqrt(var + EPS)
-    xhat /= std
-    np.multiply(xhat, gamma.data, out=out_data)
-    out_data += beta.data
+    _fit(np.divide, xhat, std, xhat)  # stats, gamma or beta that x cannot take raise here
+    _fit(np.multiply, xhat, gamma.data, out_data)
+    _fit(np.add, out_data, beta.data, out_data)
     per_channel = gamma.ndim == x.ndim and all(gamma.shape[a] == 1 for a in axes)  # BatchNorm
     n = math.prod(x.shape[a] for a in axes)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spt as S
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, DomainError, FormatError
 from .layers import (
     AttentionParams,
     BatchNorm3dState,
@@ -41,6 +41,8 @@ CKPT_VERSION = 1
 
 # -- configuration -----------------------------------------------------------------
 
+TUPLE_FIELDS = ("input_shape", "llb_channels", "glb_channels", "patch", "embed_dim", "depth", "heads")
+
 
 @dataclass
 class ModelConfig:
@@ -59,6 +61,9 @@ class ModelConfig:
         return len(self.llb_channels)
 
     def validate(self):
+        for name in TUPLE_FIELDS:
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigError(f"{name} must be a tuple or list, got {getattr(self, name)!r}")
         n = self.num_blocks
         if n == 0:
             raise ConfigError("llb_channels must name at least one fusion block, got none")
@@ -71,7 +76,7 @@ class ModelConfig:
                 raise ConfigError(
                     f"{name} has {len(getattr(self, name))} entries for {n} fusion blocks"
                 )
-        for name in ("input_shape", "llb_channels", "glb_channels", "patch", "embed_dim", "depth", "heads"):
+        for name in TUPLE_FIELDS:
             if not all(isinstance(v, np.integer) and v > 0 for v in np.ravel(getattr(self, name))):
                 raise ConfigError(f"{name} must hold positive integers, got {getattr(self, name)}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
@@ -206,6 +211,8 @@ class GLDN:
             raise DimensionError(
                 f"model built for spatial shape {self.cfg.input_shape}, got {x.shape[2:]}"
             )
+        if x.dtype != self.store.dtype:
+            raise DomainError(f"model computes in {np.dtype(self.store.dtype).name}, got {x.dtype.name} input")
         self._set_training(training)
         for block in self.blocks:
             x = fusion_block_forward(x, block, self.cfg.conv_order)

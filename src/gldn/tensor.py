@@ -201,11 +201,13 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> T
 
 
 def _fit(np_fn, *args):
-    """Apply a numpy shape-taking op; shapes it cannot combine raise DimensionError."""
+    """Apply a numpy op, whose own shape checks are the only ones: a ValueError becomes a
+    DimensionError naming the op and the shapes of its array operands, a list operand's parts included."""
     try:
         return np_fn(*args)
     except ValueError as e:
-        raise DimensionError(f"{np_fn.__name__}: {e}") from e
+        arrays = [p for a in args for p in (a if isinstance(a, list) else (a,)) if isinstance(p, np.ndarray)]
+        raise DimensionError(f"{np_fn.__name__} of shapes {[p.shape for p in arrays]}: {e}") from e
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -302,20 +304,24 @@ def sqrt(a: Tensor) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
-def _normalize_axes(axis, ndim):
-    """Axes as non-negative ints; an axis outside [-ndim, ndim) raises DimensionError."""
+def _normalize_axes(axis, shape):
+    """`axis` of an array of `shape` as non-negative ints; out-of-range or repeated axes raise DimensionError."""
+    ndim = len(shape)
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
     for a in axis:
         if not -ndim <= a < ndim:
-            raise DimensionError(f"axis {a} out of range for rank {ndim}")
-    return tuple(a % ndim for a in axis)
+            raise DimensionError(f"axis {a} out of range for shape {shape}")
+    axes = tuple(a % ndim for a in axis)
+    if len(set(axes)) != len(axes):
+        raise DimensionError(f"axes {tuple(axis)} repeat an axis of shape {shape}")
+    return axes
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.ndim)
+    axes = _normalize_axes(axis, a.shape)
     out_data = a.data.sum(axis=axes, keepdims=keepdims)
     shape, dtype = a.shape, a.dtype
 
@@ -328,7 +334,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.ndim)
+    axes = _normalize_axes(axis, a.shape)
     count = 1
     for ax in axes:
         count *= a.shape[ax]
@@ -349,15 +355,11 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:  # np.matmul takes vectors; the backward rule does not
         raise DimensionError(
             f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}"
         )
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}"
-        )
-    out_data = _fit(np.matmul, a.data, b.data)  # non-broadcastable batch extents raise
+    out_data = _fit(np.matmul, a.data, b.data)
 
     def bwd(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
@@ -396,19 +398,8 @@ def concat(parts, axis: int) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat of zero parts")
-    rank = parts[0].ndim
-    (axis,) = _normalize_axes(axis, rank)
-    for p in parts[1:]:
-        if p.ndim != rank:
-            raise DimensionError(
-                f"concat rank mismatch: {parts[0].shape} vs {p.shape}"
-            )
-        for d in range(rank):
-            if d != axis and p.shape[d] != parts[0].shape[d]:
-                raise DimensionError(
-                    f"concat extents differ off axis {axis}: {parts[0].shape} vs {p.shape}"
-                )
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    (axis,) = _normalize_axes(axis, parts[0].shape)
+    out_data = _fit(np.concatenate, [p.data for p in parts], axis)
     offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def bwd(g):
@@ -478,6 +469,8 @@ class GradCheckResult:
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
+        if not self.passed and self.worst_index is not None:
+            status += f" worst at {self.worst_index}"
         extra = f" ({self.message})" if self.message else ""
         return f"{self.name}: max rel err {self.max_rel_err:.3e} over {self.n_checked} entries -> {status}{extra}"
 
@@ -491,6 +484,8 @@ def grad_check(f, inputs, tol: float = 1e-4, sample: int | None = None) -> list[
     not amplify finite-difference noise. With `sample`, at most that many
     entries per input are probed (seeded choice) — full check otherwise.
     """
+    if sample is not None and sample < 1:
+        raise ConfigError(f"grad_check sample must be at least 1, got {sample}")
     for t in inputs:
         if t.data.dtype != np.float64:
             raise ConfigError("grad_check requires float64 inputs")
@@ -499,10 +494,7 @@ def grad_check(f, inputs, tol: float = 1e-4, sample: int | None = None) -> list[
 
     for t in inputs:
         t.zero_grad()
-    out = f(*inputs)
-    if out.data.size != 1:
-        raise DimensionError("grad_check target must be scalar-valued")
-    backward(out)
+    backward(f(*inputs))
     analytic = [t.grad.copy() for t in inputs]
 
     step = 1e-5
@@ -530,7 +522,6 @@ def grad_check(f, inputs, tol: float = 1e-4, sample: int | None = None) -> list[
             except NumericsError as e:
                 ok = False
                 message = f"non-finite during probe at flat index {i}: {e}"
-                flat[i] = saved
                 break
             finally:
                 flat[i] = saved
@@ -539,7 +530,7 @@ def grad_check(f, inputs, tol: float = 1e-4, sample: int | None = None) -> list[
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             if err > max_err:
                 max_err = err
-                worst = np.unravel_index(i, t.shape)
+                worst = tuple(int(j) for j in np.unravel_index(i, t.shape))
         results.append(
             GradCheckResult(
                 name=f"input{len(results)}",

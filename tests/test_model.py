@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gldn import model as M
-from gldn.errors import ConfigError, DimensionError, FormatError
+from gldn.errors import ConfigError, DimensionError, DomainError, FormatError
 from gldn.tensor import Tensor, apply_op, backward, grad_check, no_grad
 
 FULL = M.ModelConfig(input_shape=(96, 112, 96))
@@ -244,6 +244,10 @@ class TestBuildModel:
                 dict.fromkeys(("llb_channels", "glb_channels", "patch", "embed_dim", "depth", "heads"), ()),
                 id="zero-blocks",
             ),
+            pytest.param({"patch": 8}, id="scalar-patch"),
+            pytest.param({"heads": 4}, id="scalar-heads"),
+            pytest.param({"input_shape": 32}, id="scalar-input-shape"),
+            pytest.param({"llb_channels": None}, id="none-llb-channels"),
         ],
     )
     def test_malformed_config_names_field(self, overrides):
@@ -255,6 +259,12 @@ class TestBuildModel:
         model = M.build_model(tiny_config(), seed=0)
         with pytest.raises(DimensionError, match="built for"):
             model.forward(rand_input((16, 16, 16)))
+
+    def test_input_of_another_dtype_rejected_at_forward(self):
+        # a float64 input would silently promote a float32 model's whole forward
+        model = M.build_model(tiny_config(), seed=0, dtype=np.float32)
+        with pytest.raises(DomainError, match="float32.*float64"):
+            model.forward(rand_input((8, 8, 8), dtype=np.float64))
 
     def test_parameter_count_formula(self):
         # independent closed-form count for the tiny config

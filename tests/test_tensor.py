@@ -1,6 +1,7 @@
 """Autodiff core: primitives, backward semantics, gradient checking."""
 
 import gc
+import re
 import tracemalloc
 import weakref
 import zlib
@@ -8,9 +9,13 @@ import zlib
 import numpy as np
 import pytest
 
-from gldn import tensor as T
+from gldn import layers as L, tensor as T
 from gldn.errors import ConfigError, DimensionError, DomainError, NumericsError
 from gldn.tensor import Tensor, backward, concat, grad_check, matmul, permute_axes
+
+
+def ones(*shape):
+    return Tensor(np.ones(shape))
 
 
 def t64(data, requires_grad=True):
@@ -342,6 +347,32 @@ class TestShapeErrors:
         with pytest.raises(DimensionError, match="item"):
             Tensor(np.ones(2)).item()
 
+    # Shape faults that numpy detects: the DimensionError names every operand shape.
+    @pytest.mark.parametrize(
+        "call,shapes",
+        [
+            pytest.param(lambda: concat([ones(2, 3), ones(2, 3, 1)], axis=0), [(2, 3), (2, 3, 1)], id="concat-rank"),
+            pytest.param(lambda: concat([ones(2, 3), ones(2, 4)], axis=0), [(2, 3), (2, 4)], id="concat-extent"),
+            pytest.param(lambda: matmul(ones(2, 3), ones(4, 5)), [(2, 3), (4, 5)], id="matmul-inner"),
+            pytest.param(lambda: matmul(ones(2, 2, 3), ones(3, 3, 4)), [(2, 2, 3), (3, 3, 4)], id="matmul-batch"),
+            pytest.param(lambda: T.tsum(ones(2, 3), axis=(0, 0)), [(2, 3)], id="tsum-repeated-axis"),
+            pytest.param(lambda: T.tmean(ones(2, 3), axis=(1, -1)), [(2, 3)], id="tmean-repeated-axis"),
+            pytest.param(
+                lambda: L.normalize(ones(2, 3), ones(3), ones(3), axes=(1, -1)), [(2, 3)], id="normalize-repeated-axis"
+            ),
+            pytest.param(
+                lambda: L.normalize(ones(2, 3), ones(3), ones(3), axes=(1,), stats=(np.zeros((4, 2, 1)), np.ones((2, 1)))),
+                [(2, 3), (4, 2, 1)],
+                id="normalize-stats-wider-than-x",
+            ),
+            pytest.param(lambda: L.layer_norm(ones(2, 3), ones(4), ones(3)), [(2, 3), (4,)], id="layer-norm-gamma"),
+            pytest.param(lambda: L.layer_norm(ones(2, 3), ones(3), ones(4)), [(2, 3), (4,)], id="layer-norm-beta"),
+        ],
+    )
+    def test_fault_names_operand_shapes(self, call, shapes):
+        with pytest.raises(DimensionError, match=".*".join(re.escape(str(s)) for s in shapes)):
+            call()
+
 
 class TestGradCheck:
     def test_sum_of_squares_passes_tight(self):
@@ -383,6 +414,30 @@ class TestGradCheck:
     def test_rejects_non_scalar_target(self):
         with pytest.raises(DimensionError, match="scalar"):
             grad_check(lambda t: t * t, [t64([1.0, 2.0])])
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_rejects_sample_below_one(self, sample):
+        # sample=0 would report a pass over 0 entries
+        with pytest.raises(ConfigError, match="sample"):
+            grad_check(lambda t: t.sum(), [t64([1.0, 2.0])], sample=sample)
+
+    def test_failure_names_worst_entry(self):
+        wrong = np.array([[1.0, 1.0, 3.0], [1.0, 1.0, 1.0]])  # the rule below is 3x too large at (0, 2)
+
+        def square(t):
+            return T.apply_op(t.data * t.data, (t,), lambda g: (g * 2.0 * t.data * wrong,))
+
+        (res,) = grad_check(lambda t: square(t).sum(), [t64(np.full((2, 3), 0.5))])
+        assert not res.passed and res.worst_index == (0, 2)
+        assert "FAIL worst at (0, 2)" in str(res)
+
+    def test_non_finite_probe_fails_and_restores_input(self):
+        # the backward probe at flat index 1 takes log of a negative number
+        data = np.array([1.0, 5e-6])
+        x = t64(data.copy())
+        (res,) = grad_check(lambda t: T.log(t).sum(), [x])
+        assert not res.passed and "non-finite during probe at flat index 1" in str(res)
+        np.testing.assert_array_equal(x.data, data)
 
     def test_sampled_subset(self):
         x = t64(np.random.default_rng(8).uniform(0.5, 1.5, size=(40,)))
