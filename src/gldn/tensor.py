@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -305,19 +306,23 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def _normalize_axes(axis, shape):
-    """`axis` of an array of `shape` as non-negative ints; out-of-range or repeated axes raise DimensionError."""
+    """`axis` (an integer, a tuple or list of them, or None for all) of an array of `shape` as
+    non-negative ints; a non-integer, out-of-range or repeated axis raises DimensionError."""
     ndim = len(shape)
     if axis is None:
         return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    for a in axis:
+    axes = []
+    for a in axis if isinstance(axis, (tuple, list)) else (axis,):
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise DimensionError(f"axis {a!r} is not an integer") from None
         if not -ndim <= a < ndim:
             raise DimensionError(f"axis {a} out of range for shape {shape}")
-    axes = tuple(a % ndim for a in axis)
+        axes.append(a % ndim)
     if len(set(axes)) != len(axes):
         raise DimensionError(f"axes {tuple(axis)} repeat an axis of shape {shape}")
-    return axes
+    return tuple(axes)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -354,19 +359,29 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for rank >= 2 operands. When b is 2-D (a weight), a's leading axes fold into the
+    rows of one GEMM, forward and backward, so db is one product, not a stack of per-slice
+    products summed down; other shapes run batched. Only an operand that requires grad gets one."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:  # np.matmul takes vectors; the backward rule does not
-        raise DimensionError(
-            f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}"
-        )
-    out_data = _fit(np.matmul, a.data, b.data)
+        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
+    x, w, need_a, need_b = a.data, b.data, a.requires_grad, b.requires_grad
+    out_data = _fit(_fold_matmul if w.ndim == 2 else np.matmul, x, w)
 
     def bwd(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        if w.ndim == 2:
+            g = g.reshape(-1, g.shape[-1])
+            ga = (g @ w.T).reshape(x.shape) if need_a else None
+            return ga, (x.reshape(-1, x.shape[-1]).T @ g if need_b else None)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), x.shape) if need_a else None
+        return ga, (_unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.shape) if need_b else None)
 
     return apply_op(out_data, (a, b), bwd)
+
+
+def _fold_matmul(x, w):
+    """x [*, in] @ w [in, out] as one GEMM over the rows of x."""
+    return np.matmul(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + w.shape[1:])
 
 
 def permute_axes(a: Tensor, perm) -> Tensor:
@@ -398,7 +413,7 @@ def concat(parts, axis: int) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat of zero parts")
-    (axis,) = _normalize_axes(axis, parts[0].shape)
+    (axis,) = _normalize_axes((axis,), parts[0].shape)
     out_data = _fit(np.concatenate, [p.data for p in parts], axis)
     offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
 

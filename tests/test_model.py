@@ -208,6 +208,24 @@ class TestBuildModel:
         assert probs[np.float32].dtype == np.float32
         np.testing.assert_allclose(probs[np.float32], probs[np.float64], rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize("order", ["relu_bn", "bn_relu"])
+    def test_float32_grads_match_float64_build(self, order):
+        # GEMM summation order is not fixed, so float32 grads are specified within a
+        # tolerance of each grad's float64 max (measured <= 1.9e-6 here); a grad whose
+        # float64 max is below 1e-6 gets an absolute floor instead: bn_relu's conv biases,
+        # which feed BatchNorm's mean subtraction, have an exact grad of 0
+        x = rand_input((8, 8, 8), batch=2, seed=18, dtype=np.float64)
+        coeff = np.random.default_rng(20).normal(size=(2, 84))
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            model = M.build_model(tiny_config(conv_order=order), seed=19, dtype=dtype)
+            backward((model.forward(Tensor(x.data.astype(dtype)), training=True) * coeff).sum())
+            grads[dtype] = {name: t.grad for name, t in model.parameters().items()}
+        for name, ref in grads[np.float64].items():
+            scale = np.abs(ref).max()
+            tol = 1e-4 * scale if scale >= 1e-6 else 2e-8
+            assert np.abs(grads[np.float32][name] - ref).max() <= tol, (name, scale)
+
     def test_same_seed_bitwise_identical(self):
         a = M.build_model(tiny_config(), seed=7)
         b = M.build_model(tiny_config(), seed=7)
