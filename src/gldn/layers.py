@@ -71,7 +71,6 @@ class AttentionParams:
     bq: Tensor  # [d]; no key bias: softmax over keys cancels q.b_k
     bv: Tensor
     bo: Tensor
-    heads: int
 
 
 @dataclass
@@ -257,20 +256,19 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
         gx = g * xhat  # the one full-size buffer: dgamma is reduced from it, then it becomes dx
         dgamma = _unbroadcast(gx, gamma.shape).copy()  # a copy even where nothing was summed
         dbeta = _unbroadcast(g, beta.shape)
-        if not per_channel:  # LayerNorm: gamma varies along the reduced axis
-            np.multiply(g, gamma.data, out=gx)
-            if stats is None:
-                m2 = (gx * xhat).mean(axis=axes, keepdims=True)
-                gx -= gx.mean(axis=axes, keepdims=True)
-                gx -= xhat * m2
-            gx /= std
-        elif stats is None:  # (gamma/std) (g - mean(g) - xhat mean(g xhat)), through mu and var
+        if stats is not None:  # constant statistics, whatever gamma's shape
+            np.multiply(g, gamma.data / std, out=gx)
+        elif per_channel:  # (gamma/std) (g - mean(g) - xhat mean(g xhat)), through mu and var
             np.multiply(xhat, dgamma / n, out=gx)  # the means are the sums dgamma and dbeta over n
             np.subtract(g, gx, out=gx)
             gx -= dbeta / n
             gx *= gamma.data / std
-        else:
-            np.multiply(g, gamma.data / std, out=gx)
+        else:  # LayerNorm: gamma varies along the reduced axis
+            np.multiply(g, gamma.data, out=gx)
+            m2 = (gx * xhat).mean(axis=axes, keepdims=True)
+            gx -= gx.mean(axis=axes, keepdims=True)
+            gx -= xhat * m2
+            gx /= std
         return gx, dgamma, dbeta
 
     return apply_op(out_data, (x, gamma, beta), bwd), (mean, var)
@@ -465,14 +463,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return apply_op(out, (q, k, v), bwd)
 
 
-def multi_head_attention(x: Tensor, p: AttentionParams) -> Tensor:
-    """Project x [*, n, d] to q/k/v, attend with p.heads heads, project the joined heads out."""
+def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
+    """Project x [*, n, d] to q/k/v, attend with `heads` heads, project the joined heads out."""
     q, k, v = linear(x, p.wq, p.bq), matmul(x, p.wk), linear(x, p.wv, p.bv)
-    return linear(scaled_dot_attention(q, k, v, p.heads), p.wo, p.bo)
+    return linear(scaled_dot_attention(q, k, v, heads), p.wo, p.bo)
 
 
-def transformer_encoder_layer(x: Tensor, p: EncoderLayerParams) -> Tensor:
-    x = x + multi_head_attention(layer_norm(x, p.ln1_gamma, p.ln1_beta), p.attn)
+def transformer_encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int) -> Tensor:
+    x = x + multi_head_attention(layer_norm(x, p.ln1_gamma, p.ln1_beta), p.attn, heads)
     h = layer_norm(x, p.ln2_gamma, p.ln2_beta)
     h = linear(gelu(linear(h, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
     return x + h

@@ -69,7 +69,7 @@ class ModelConfig:
             raise ConfigError("llb_channels must name at least one fusion block, got none")
         if len(self.input_shape) != 3:
             raise ConfigError(f"input_shape needs 3 extents, got {self.input_shape}")
-        if any(np.shape(pair) != (2,) for pair in self.llb_channels):
+        if not all(isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.llb_channels):
             raise ConfigError(f"llb_channels entries must be channel pairs, got {self.llb_channels}")
         for name in ("glb_channels", "patch", "embed_dim", "depth", "heads"):
             if len(getattr(self, name)) != n:
@@ -77,7 +77,10 @@ class ModelConfig:
                     f"{name} has {len(getattr(self, name))} entries for {n} fusion blocks"
                 )
         for name in TUPLE_FIELDS:
-            if not all(isinstance(v, np.integer) and v > 0 for v in np.ravel(getattr(self, name))):
+            values = getattr(self, name)
+            if name == "llb_channels":
+                values = [c for pair in values for c in pair]
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in values):
                 raise ConfigError(f"{name} must hold positive integers, got {getattr(self, name)}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
             raise ConfigError(f"unknown ablation {self.ablation!r}")
@@ -154,7 +157,7 @@ class FusionBlock:
 # -- forward ops ------------------------------------------------------------------------
 
 
-def cnn_block(x: Tensor, p: CnnBlockParams, order: str = "relu_bn") -> Tensor:
+def cnn_block(x: Tensor, p: CnnBlockParams, order: str) -> Tensor:
     """Conv(3, pad 1) then ReLU/BN (in the configured order) then MaxPool(2)."""
     h = conv3d(x, p.conv)
     if order == "relu_bn":
@@ -164,7 +167,7 @@ def cnn_block(x: Tensor, p: CnnBlockParams, order: str = "relu_bn") -> Tensor:
     return maxpool3d(h)
 
 
-def llb_forward(x: Tensor, blocks, order: str = "relu_bn") -> Tensor:
+def llb_forward(x: Tensor, blocks, order: str) -> Tensor:
     """Two CNN blocks: spatial extents fall to exactly 1/4 per axis."""
     return cnn_block(cnn_block(x, blocks[0], order), blocks[1], order)
 
@@ -180,7 +183,7 @@ def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
     return concat([local, global_], axis=1)
 
 
-def fusion_block_forward(x: Tensor, block: FusionBlock, order: str = "relu_bn") -> Tensor:
+def fusion_block_forward(x: Tensor, block: FusionBlock, order: str) -> Tensor:
     local = llb_forward(x, block.llb, order) if block.llb is not None else None
     global_ = S.spt_forward(x, block.glb_cfg, block.glb) if block.glb_cfg is not None else None
     return aggregate(local, global_)
@@ -255,7 +258,6 @@ def _build_spt_part(store: ParamStore, prefix: str, part: S.SptPartConfig) -> S.
                     bq=store.zeros(f"{lp}.attn.bq", d),
                     bv=store.zeros(f"{lp}.attn.bv", d),
                     bo=store.zeros(f"{lp}.attn.bo", d),
-                    heads=part.heads,
                 ),
                 ln2_gamma=store.ones(f"{lp}.ln2.gamma", d),
                 ln2_beta=store.zeros(f"{lp}.ln2.beta", d),
@@ -303,7 +305,13 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
     zeros for biases/beta, ones for gamma. Deterministic given the seed.
     """
     cfg.validate()
-    store = ParamStore(np.random.default_rng(seed), dtype)
+    try:
+        ok = dtype is not None and np.dtype(dtype) in (np.float32, np.float64)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"a model computes in float32 or float64, got dtype {dtype!r}")
+    store = ParamStore(np.random.default_rng(seed), np.dtype(dtype))
     shape = tuple(cfg.input_shape)
     channels = 1
     blocks = []
@@ -345,7 +353,11 @@ def save_checkpoint(path, model: GLDN):
     """magic, version u32 LE, then {name_len u32, name, rank u32, extents u32*rank, f32 LE data}.
 
     Written to `<path>.tmp`, then renamed over `path`, so a failed write keeps the old file.
+    The records are float32, so a model of another dtype is refused before any file is opened.
     """
+    if model.store.dtype != np.float32:
+        dtype = np.dtype(model.store.dtype).name
+        raise ConfigError(f"checkpoint records are float32; a {dtype} model would be rounded")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:

@@ -14,10 +14,10 @@ its inverse. Besides the 2x2 gather of `patch_merge`, a part moves its volume
 once on the way in and once on the way out.
 
 The part plan (`SptPartConfig`, laid out by `plan_spt`) is the only source of
-shapes inside a part. `spt_part_forward` checks its input against the plan
-once. The steps it calls take their shapes from the plan and check nothing:
-`resolve_patch` guarantees that the patch splits both in-slice extents into an
-even token grid.
+shapes and head counts inside a part; its parameters are tensors alone.
+`spt_part_forward` checks its input against the plan once. The steps it calls
+take their shapes from the plan and check nothing: `resolve_patch` guarantees
+that the patch splits both in-slice extents into an even token grid.
 
 Patch sizes adapt per part: a part uses the largest power-of-two patch edge
 <= the requested one for which both in-slice extents split into an even token
@@ -52,7 +52,10 @@ class SptPartConfig:
     in_channels: int
     out_channels: int
     slice_hw: tuple[int, int]  # in-slice extents before patching
-    grid: tuple[int, int]  # token grid (slice_hw / patch), both even
+
+    @property
+    def grid(self) -> tuple[int, int]:  # the token grid; resolve_patch makes both sides even
+        return (self.slice_hw[0] // self.patch, self.slice_hw[1] // self.patch)
 
     @property
     def n_tokens(self) -> int:
@@ -120,7 +123,6 @@ def plan_spt(
             p = resolve_patch(inslice, patch)
         except ConfigError as e:
             raise ConfigError(f"part {axis} ({VIEW_NAMES[axis]}): {e}") from e
-        grid = (inslice[0] // p, inslice[1] // p)
         parts.append(
             SptPartConfig(
                 axis=axis,
@@ -131,7 +133,6 @@ def plan_spt(
                 in_channels=channels,
                 out_channels=out_channels,
                 slice_hw=inslice,
-                grid=grid,
             )
         )
         for a in (0, 1, 2):
@@ -208,7 +209,7 @@ def spt_part_forward(x: Tensor, cfg: SptPartConfig, params: SptPartParams) -> Te
         )
     tokens = linear(tokenize(x, cfg.axis, cfg.patch), params.proj_w, params.proj_b) + params.pos
     for layer in params.encoder:
-        tokens = transformer_encoder_layer(tokens, layer)
+        tokens = transformer_encoder_layer(tokens, layer, cfg.heads)
     merged = patch_merge(
         tokens, cfg.grid, params.merge_ln_gamma, params.merge_ln_beta, params.merge_w, params.merge_b
     )

@@ -205,7 +205,7 @@ def _fit(np_fn, *args):
     """Apply a numpy op, whose own shape checks are the only ones: a ValueError becomes a
     DimensionError naming the op and the shapes of its array operands, a list operand's parts included."""
     try:
-        return np_fn(*args)
+        return np.asarray(np_fn(*args))  # a ufunc of 0-d operands returns a numpy scalar
     except ValueError as e:
         arrays = [p for a in args for p in (a if isinstance(a, list) else (a,)) if isinstance(p, np.ndarray)]
         raise DimensionError(f"{np_fn.__name__} of shapes {[p.shape for p in arrays]}: {e}") from e
@@ -237,14 +237,9 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
+    """a + (-b): negation is exact, so this is a - b to the bit, and its gradients come from add and neg."""
     a = as_tensor(a)
-    b = as_tensor(b, like=a)
-    a_shape, b_shape = a.shape, b.shape
-
-    def bwd(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return apply_op(_fit(np.subtract, a.data, b.data), (a, b), bwd)
+    return add(a, neg(as_tensor(b, like=a)))
 
 
 def mul(a, b) -> Tensor:
@@ -339,20 +334,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.shape)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    out_data = a.data.mean(axis=axes, keepdims=keepdims)
-    inv = 1.0 / count
-    shape, dtype = a.shape, a.dtype
-
-    def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g * inv, shape).astype(dtype, copy=False),)
-
-    return apply_op(np.asarray(out_data), (a,), bwd)
+    """tsum over its count. numpy's mean divides the same sum in float64 and rounds, which is exact for a
+    division, so while the count is exact in a's dtype (to 2**24 in float32) the bytes are numpy's."""
+    total = tsum(a, axis, keepdims)
+    count = Tensor._from_op(np.array(a.size // total.size, a.dtype), False, None)  # 0-d: keeps the sum's shape
+    return div(total, count)
 
 
 # -- structural ops -----------------------------------------------------------

@@ -979,7 +979,7 @@ class TestFullSizeRuleMemory:
         assert peak <= 1.1 * out.data.nbytes, peak / out.data.nbytes
 
 
-def mha_params(d, heads, rng=None, dtype=np.float64, identity=False):
+def mha_params(d, rng=None, dtype=np.float64, identity=False):
     def mk(shape):
         if identity:
             return Tensor(np.eye(shape[0], dtype=dtype), requires_grad=True)
@@ -988,7 +988,7 @@ def mha_params(d, heads, rng=None, dtype=np.float64, identity=False):
     zeros = lambda: Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
     return L.AttentionParams(
         wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), wo=mk((d, d)),
-        bq=zeros(), bv=zeros(), bo=zeros(), heads=heads,
+        bq=zeros(), bv=zeros(), bo=zeros(),
     )
 
 
@@ -996,56 +996,56 @@ class TestMultiHeadAttention:
     def test_single_head_identity_projection(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 4)))
-        p = mha_params(4, 1, identity=True)
+        p = mha_params(4, identity=True)
         want = L.scaled_dot_attention(x, x, x, 1).data
-        np.testing.assert_allclose(L.multi_head_attention(x, p).data, want, rtol=1e-5)
+        np.testing.assert_allclose(L.multi_head_attention(x, p, 1).data, want, rtol=1e-5)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 7, 8)).astype(np.float32))
-        p = mha_params(8, 4, rng, dtype=np.float32)
-        assert L.multi_head_attention(x, p).shape == (2, 7, 8)
+        p = mha_params(8, rng, dtype=np.float32)
+        assert L.multi_head_attention(x, p, 4).shape == (2, 7, 8)
 
     def test_token_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 6))
-        p = mha_params(6, 2, rng)
-        base = L.multi_head_attention(Tensor(x), p).data
+        p = mha_params(6, rng)
+        base = L.multi_head_attention(Tensor(x), p, 2).data
         perm = rng.permutation(4)
-        permuted = L.multi_head_attention(Tensor(x[perm]), p).data
+        permuted = L.multi_head_attention(Tensor(x[perm]), p, 2).data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-5)
 
     def test_token_dim_mismatch_rejected(self):
         rng = np.random.default_rng(5)
-        p = mha_params(4, 2, rng)
+        p = mha_params(4, rng)
         with pytest.raises(DimensionError):
-            L.multi_head_attention(Tensor(rng.normal(size=(3, 6))), p)
+            L.multi_head_attention(Tensor(rng.normal(size=(3, 6))), p, 2)
 
     def test_indivisible_heads_rejected(self):
         rng = np.random.default_rng(3)
-        p = mha_params(6, 4, rng)
+        p = mha_params(6, rng)
         with pytest.raises(DimensionError, match="split"):
-            L.multi_head_attention(Tensor(rng.normal(size=(3, 6))), p)
+            L.multi_head_attention(Tensor(rng.normal(size=(3, 6))), p, 4)
 
     def test_grad_check(self):
         rng = np.random.default_rng(4)
         x = t64(rng.normal(size=(3, 4)))
-        p = mha_params(4, 2, rng)
+        p = mha_params(4, rng)
         coeff = rng.normal(size=(3, 4))
 
         def f(x, wq, wk, wv, wo, bq, bv, bo):
-            pp = L.AttentionParams(wq, wk, wv, wo, bq, bv, bo, heads=2)
-            return (L.multi_head_attention(x, pp) * coeff).sum()
+            pp = L.AttentionParams(wq, wk, wv, wo, bq, bv, bo)
+            return (L.multi_head_attention(x, pp, 2) * coeff).sum()
 
         for res in grad_check(f, [x, p.wq, p.wk, p.wv, p.wo, p.bq, p.bv, p.bo], tol=1e-4):
             assert res.passed, res
 
 
-def encoder_params(d, heads, rng, dtype=np.float64, zero_out=False):
+def encoder_params(d, rng, dtype=np.float64, zero_out=False):
     p = L.EncoderLayerParams(
         ln1_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
         ln1_beta=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-        attn=mha_params(d, heads, rng, dtype=dtype),
+        attn=mha_params(d, rng, dtype=dtype),
         ln2_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
         ln2_beta=Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
         ffn_w1=Tensor(rng.normal(scale=0.4, size=(d, 4 * d)).astype(dtype), requires_grad=True),
@@ -1063,19 +1063,19 @@ class TestEncoderLayer:
     def test_zeroed_output_projections_give_identity(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 4)))
-        p = encoder_params(4, 2, rng, zero_out=True)
-        np.testing.assert_allclose(L.transformer_encoder_layer(x, p).data, x.data, atol=1e-7)
+        p = encoder_params(4, rng, zero_out=True)
+        np.testing.assert_allclose(L.transformer_encoder_layer(x, p, 2).data, x.data, atol=1e-7)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 6, 8)).astype(np.float32))
-        p = encoder_params(8, 2, rng, dtype=np.float32)
-        assert L.transformer_encoder_layer(x, p).shape == (2, 6, 8)
+        p = encoder_params(8, rng, dtype=np.float32)
+        assert L.transformer_encoder_layer(x, p, 2).shape == (2, 6, 8)
 
     def test_tapes_no_reshape_or_permute(self):
         rng = np.random.default_rng(3)
         x = t64(rng.normal(size=(2, 5, 8)))
-        ops = tape_ops(L.transformer_encoder_layer(x, encoder_params(8, 2, rng)))
+        ops = tape_ops(L.transformer_encoder_layer(x, encoder_params(8, rng), 2))
         assert ops["scaled_dot_attention"] == 1
         assert ops["permute_axes"] == ops["reshape"] == 0, ops
 
@@ -1084,24 +1084,24 @@ class TestEncoderLayer:
         # output and the layer output (9); 4d-wide: GELU's slope and output (2 x 4)
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(16, 64, 32)).astype(np.float32), requires_grad=True)
-        p = encoder_params(32, 4, rng, dtype=np.float32)
-        _, retained, _ = traced_bytes(lambda: L.transformer_encoder_layer(x, p))
+        p = encoder_params(32, rng, dtype=np.float32)
+        _, retained, _ = traced_bytes(lambda: L.transformer_encoder_layer(x, p, 4))
         assert retained <= 17.5 * x.data.nbytes, retained / x.data.nbytes
 
     def test_grad_check_d4_n3(self):
         rng = np.random.default_rng(2)
         x = t64(rng.normal(size=(3, 4)))
-        p = encoder_params(4, 2, rng)
+        p = encoder_params(4, rng)
         coeff = rng.normal(size=(3, 4))
         params = [x, p.ln1_gamma, p.ln1_beta, p.attn.wq, p.attn.wv, p.ffn_w1, p.ffn_w2]
 
         def f(x, g1, b1, wq, wv, w1, w2):
             pp = L.EncoderLayerParams(
                 g1, b1,
-                L.AttentionParams(wq, p.attn.wk, wv, p.attn.wo, p.attn.bq, p.attn.bv, p.attn.bo, 2),
+                L.AttentionParams(wq, p.attn.wk, wv, p.attn.wo, p.attn.bq, p.attn.bv, p.attn.bo),
                 p.ln2_gamma, p.ln2_beta, w1, p.ffn_b1, w2, p.ffn_b2,
             )
-            return (L.transformer_encoder_layer(x, pp) * coeff).sum()
+            return (L.transformer_encoder_layer(x, pp, 2) * coeff).sum()
 
         for res in grad_check(f, params, tol=1e-4):
             assert res.passed, res

@@ -66,7 +66,7 @@ class TestCnnBlock:
         store = M.ParamStore(np.random.default_rng(0), np.float32)
         cb = M._build_cnn_block(store, "cb", 1, 16)
         cb.bn.training = True
-        out = M.cnn_block(rand_input((96, 112, 96)), cb)
+        out = M.cnn_block(rand_input((96, 112, 96)), cb, "relu_bn")
         assert out.shape == (1, 16, 48, 56, 48)
 
     def test_zero_conv_gives_zero(self):
@@ -74,7 +74,7 @@ class TestCnnBlock:
         cb = M._build_cnn_block(store, "cb", 1, 3)
         cb.conv.weight.data[:] = 0.0
         cb.bn.training = True
-        out = M.cnn_block(rand_input((8, 8, 8), batch=2), cb)
+        out = M.cnn_block(rand_input((8, 8, 8), batch=2), cb, "relu_bn")
         np.testing.assert_array_equal(out.data, 0.0)
 
     @pytest.mark.parametrize("order", ["relu_bn", "bn_relu"])
@@ -109,17 +109,17 @@ class TestLlb:
         return blocks
 
     def test_full_scale_first_block(self):
-        out = M.llb_forward(rand_input((96, 112, 96)), self.build_llb(1, 16, 32))
+        out = M.llb_forward(rand_input((96, 112, 96)), self.build_llb(1, 16, 32), "relu_bn")
         assert out.shape == (1, 32, 24, 28, 24)
 
     def test_full_scale_second_block(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 40, 24, 28, 24)).astype(np.float32))
-        out = M.llb_forward(x, self.build_llb(40, 64, 128))
+        out = M.llb_forward(x, self.build_llb(40, 64, 128), "relu_bn")
         assert out.shape == (1, 128, 6, 7, 6)
 
     def test_desk_scale(self):
-        out = M.llb_forward(rand_input((32, 48, 32)), self.build_llb(1, 16, 32))
+        out = M.llb_forward(rand_input((32, 48, 32)), self.build_llb(1, 16, 32), "relu_bn")
         assert out.shape == (1, 32, 8, 12, 8)
 
 
@@ -175,9 +175,9 @@ class TestBuildModel:
         model = M.build_model(FULL, seed=0)
         x = rand_input((96, 112, 96), batch=1, seed=1)
         # fusion block 1 alone: the channel-40 stage
-        mid = M.fusion_block_forward(x, model.blocks[0])
+        mid = M.fusion_block_forward(x, model.blocks[0], "relu_bn")
         assert mid.shape == (1, 40, 24, 28, 24)
-        mid2 = M.fusion_block_forward(mid, model.blocks[1])
+        mid2 = M.fusion_block_forward(mid, model.blocks[1], "relu_bn")
         assert mid2.shape == (1, 160, 6, 7, 6)
         out = model.forward(x)
         assert out.shape == (1, 84)
@@ -266,12 +266,27 @@ class TestBuildModel:
             pytest.param({"heads": 4}, id="scalar-heads"),
             pytest.param({"input_shape": 32}, id="scalar-input-shape"),
             pytest.param({"llb_channels": None}, id="none-llb-channels"),
+            pytest.param({"heads": ((4,), 4)}, id="ragged-heads"),
+            pytest.param({"input_shape": ((32,), 48, 32)}, id="ragged-input-shape"),
+            pytest.param({"embed_dim": (32, [64])}, id="list-embed-dim"),
+            pytest.param({"llb_channels": (((1, 2), 3), (64, 128))}, id="nested-llb-pair"),
+            pytest.param({"patch": ((8,), (2,))}, id="tuple-patches"),
+            pytest.param({"glb_channels": (True, 32)}, id="bool-glb-channel"),
         ],
     )
     def test_malformed_config_names_field(self, overrides):
         field = next(iter(overrides))  # the field the error must name
         with pytest.raises(ConfigError, match=field):
             M.build_model(M.ModelConfig(**overrides))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, "float128", None, "not-a-dtype"])
+    def test_dtype_other_than_float32_or_float64_refused(self, dtype):
+        with pytest.raises(ConfigError, match="float32 or float64"):
+            M.build_model(tiny_config(), dtype=dtype)
+
+    def test_numpy_integer_config_values_accepted(self):
+        cfg = tiny_config(input_shape=tuple(np.int64(e) for e in (8, 8, 8)), heads=(np.int32(2),))
+        assert M.build_model(cfg, seed=0, dtype="float32").forward(rand_input((8, 8, 8))).shape == (1, 84)
 
     def test_wrong_input_shape_rejected_at_forward(self):
         model = M.build_model(tiny_config(), seed=0)
@@ -519,6 +534,14 @@ class TestCheckpoint:
             M.save_checkpoint(path, M.build_model(tiny_config(), seed=20))
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_float64_model_refused_before_any_file_is_opened(self, tmp_path):
+        # the records are float32, so saving a float64 model would round it silently
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ConfigError, match="float32.*float64"):
+            M.save_checkpoint(path, M.build_model(tiny_config(), seed=21, dtype=np.float64))
+        assert not path.exists() and not (tmp_path / "model.ckpt.tmp").exists()
+        assert os.listdir(tmp_path) == []
 
     def test_extent_overflow(self, tmp_path):
         path = tmp_path / "bad.ckpt"

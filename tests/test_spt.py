@@ -1,5 +1,7 @@
 """Permuted-transformer stage: tokenization, merging, shape contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,7 @@ class TestEmbedTokens:
         def encode(tok):
             t = linear(Tensor(tok), params.proj_w, params.proj_b) + params.pos
             for layer in params.encoder:
-                t = transformer_encoder_layer(t, layer)
+                t = transformer_encoder_layer(t, layer, part.heads)
             return t.data
 
         tok = rng.normal(size=(2, part.n_tokens, part.token_dim))
@@ -200,6 +202,40 @@ class TestPlanSpt:
     def test_indivisible_heads(self):
         with pytest.raises(ConfigError, match="heads"):
             build_plan((32, 48, 32), d=30, heads=4)
+
+    def test_grid_is_derived_from_slice_and_patch(self):
+        # the paper's two stages; the plan stores slice_hw and patch, and the grid comes from them
+        assert "grid" not in {f.name for f in dataclasses.fields(S.SptPartConfig)}
+        for plan in (build_plan((96, 112, 96), patch=8), build_plan((24, 28, 24), channels=40, patch=2, d=64, out=32)):
+            for part in plan.parts:
+                assert part.grid == (part.slice_hw[0] // part.patch, part.slice_hw[1] // part.patch)
+                assert part.grid[0] % 2 == part.grid[1] % 2 == 0
+
+
+class TestSptPartParams:
+    def test_containers_hold_only_tensors(self):
+        # shapes and head counts live in the plan: every field is a Tensor, a container of
+        # them, or a list of containers, and the walk meets every registered parameter
+        part = build_plan((8, 8, 16), patch=2, d=8, depth=2, heads=2, out=4).parts[0]
+        params, store = part_params(3, part)
+        found = []
+
+        def walk(container, where):
+            for field in dataclasses.fields(container):
+                value, name = getattr(container, field.name), f"{where}.{field.name}"
+                if isinstance(value, list):
+                    assert value and all(dataclasses.is_dataclass(v) for v in value), name
+                    for i, v in enumerate(value):
+                        walk(v, f"{name}[{i}]")
+                elif dataclasses.is_dataclass(value):
+                    walk(value, name)
+                else:
+                    assert isinstance(value, Tensor), (name, type(value).__name__)
+                    found.append(value)
+
+        walk(params, "part")
+        assert len(params.encoder) == 2
+        assert sorted(map(id, found)) == sorted(map(id, store.params.values()))
 
 
 class TestSptPartForward:

@@ -272,7 +272,7 @@ class TestFiniteChecks:
         x = Tensor(np.full(4, 3e38, np.float32), requires_grad=True)
         with pytest.raises(NumericsError, match="tsum"):
             x.sum()
-        with pytest.raises(NumericsError, match="tmean"):
+        with pytest.raises(NumericsError, match="tsum"):  # a mean's overflow is its sum's
             x.mean()
 
 
@@ -539,3 +539,47 @@ class TestPrimitiveGradients:
 
             (res,) = grad_check(f, [a], tol=1e-4)
             assert res.passed, (trial, shape, res)
+
+
+class TestComposites:
+    """tmean is tsum over its count and sub is add of neg: numpy's bytes forward, the primitives' rules backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [None, 1, (0, 2), -1])  # counts 8820, 7, 1260, 252: none a power of two
+    def test_mean_bytes_match_numpy(self, dtype, axis):
+        a = np.random.default_rng(0).normal(1.0, 3.0, size=(5, 7, 252)).astype(dtype)
+        for keepdims in (False, True):
+            got = T.tmean(Tensor(a), axis=axis, keepdims=keepdims).data
+            want = np.asarray(a.mean(axis=axis, keepdims=keepdims))
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (axis, keepdims)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sub_bytes_match_numpy(self, dtype):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(5, 7)).astype(dtype), rng.normal(size=7).astype(dtype)
+        assert T.sub(Tensor(a), Tensor(b)).data.tobytes() == (a - b).tobytes()
+        assert (Tensor(b) - Tensor(a)).data.tobytes() == (b - a).tobytes()
+        assert (2.5 - Tensor(b)).data.tobytes() == (dtype(2.5) - b).tobytes()
+
+    def test_mean_grad_check(self):
+        rng = np.random.default_rng(2)
+        a = t64(rng.normal(size=(5, 7, 9)))
+        coeff = rng.normal(size=(5, 1, 1))
+        for keepdims, c in ((True, coeff), (False, coeff[:, 0, 0])):
+            (res,) = grad_check(lambda a: (a.mean(axis=(1, 2), keepdims=keepdims) * c).sum(), [a], tol=1e-6)
+            assert res.passed, (keepdims, res)
+
+    def test_sub_grad_check(self):
+        rng = np.random.default_rng(3)
+        a, b = t64(rng.normal(size=(5, 7))), t64(rng.normal(size=7))
+        coeff = rng.normal(size=(5, 7))
+        for res in grad_check(lambda a, b: ((a - b) * coeff).sum(), [a, b], tol=1e-6):
+            assert res.passed, res
+
+    def test_no_rule_of_their_own(self):
+        a, b = t64(np.ones((2, 3))), t64(np.ones(3))
+        op = lambda node: node.backward_fn.__qualname__.split(".")[0]
+        mean, diff = T.tmean(a, axis=1)._node, T.sub(a, b)._node
+        assert (op(mean), op(mean.parents[0])) == ("div", "tsum")
+        assert (op(diff), op(diff.parents[1])) == ("add", "neg")
