@@ -50,7 +50,7 @@ class Conv3dParams:
     """3x3x3 kernel, padding 1, stride 1: spatial extents are preserved."""
 
     weight: Tensor  # [C_out, C_in, 3, 3, 3]
-    bias: Tensor  # [C_out]
+    bias: Tensor | None  # [C_out]; None where a BatchNorm that follows would cancel it
 
 
 @dataclass
@@ -149,13 +149,15 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
     wm = p.weight.data.reshape(c_out, c_in * 27)
-    bias = p.bias.data.reshape(1, -1, 1, 1, 1)
     slabs = _chunks(D, 27 * c_in * B * H * W * x.data.itemsize)  # output depth ranges
     need_dx = x.requires_grad  # no dX for a constant input
     out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
     for d0, d1 in slabs:
-        y = (wm @ _cols(xp, d0, d1)).reshape(c_out, B, d1 - d0, H, W)
-        np.add(y.transpose(1, 0, 2, 3, 4), bias, out=out_data[:, :, d0:d1])
+        y = (wm @ _cols(xp, d0, d1)).reshape(c_out, B, d1 - d0, H, W).transpose(1, 0, 2, 3, 4)
+        if p.bias is None:
+            out_data[:, :, d0:d1] = y
+        else:
+            np.add(y, p.bias.data.reshape(1, -1, 1, 1, 1), out=out_data[:, :, d0:d1])
 
     def bwd(g):
         dw = np.zeros_like(wm)
@@ -169,10 +171,10 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
             for t, view in enumerate(_taps(dxp, d0, d1)):
                 view += dcols[:, t].transpose(1, 0, 2, 3, 4)
         dx = None if dxp is None else np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1, 1:-1])
-        db = g.sum(axis=(0, 2, 3, 4))
-        return dx, dw.reshape(p.weight.shape), db
+        db = () if p.bias is None else (g.sum(axis=(0, 2, 3, 4)),)
+        return (dx, dw.reshape(p.weight.shape), *db)
 
-    return apply_op(out_data, (x, p.weight, p.bias), bwd)
+    return apply_op(out_data, (x, p.weight) if p.bias is None else (x, p.weight, p.bias), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -415,7 +417,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             f"attention needs equal [*, n, d] operands, got {q.shape}, {k.shape}, {v.shape}"
         )
     shape, (n, d) = q.shape, q.shape[-2:]
-    if heads < 1 or d % heads:
+    if not isinstance(heads, (int, np.integer)) or heads < 1 or d % heads:
         raise DimensionError(f"attention width {d} does not split into {heads} heads")
     d_k = d // heads
 

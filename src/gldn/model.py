@@ -31,7 +31,7 @@ from .layers import (
     relu,
     softmax,
 )
-from .tensor import Tensor, all_finite, concat
+from .tensor import Tensor, all_finite, concat, float_dtype
 
 N_BINS = 84
 
@@ -42,6 +42,11 @@ CKPT_VERSION = 1
 # -- configuration -----------------------------------------------------------------
 
 TUPLE_FIELDS = ("input_shape", "llb_channels", "glb_channels", "patch", "embed_dim", "depth", "heads")
+
+
+def _integer(v) -> bool:
+    """A Python or numpy integer; a bool is not one here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -80,7 +85,7 @@ class ModelConfig:
             values = getattr(self, name)
             if name == "llb_channels":
                 values = [c for pair in values for c in pair]
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in values):
+            if not all(_integer(v) and v > 0 for v in values):
                 raise ConfigError(f"{name} must hold positive integers, got {getattr(self, name)}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
             raise ConfigError(f"unknown ablation {self.ablation!r}")
@@ -101,7 +106,7 @@ class ParamStore:
 
     def __init__(self, rng: np.random.Generator, dtype):
         self.rng = rng
-        self.dtype = dtype
+        self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
@@ -208,27 +213,22 @@ class GLDN:
     # -- forward --
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        if x.ndim != 5 or x.shape[1] != 1:
-            raise DimensionError(f"model expects [B,1,D,H,W], got {x.shape}")
-        if tuple(x.shape[2:]) != tuple(self.cfg.input_shape):
+        if not isinstance(x, Tensor):
+            raise DomainError(f"model input must be a Tensor, got {type(x).__name__}")
+        if x.ndim != 5 or x.shape[1:] != (1, *self.cfg.input_shape):
             raise DimensionError(
-                f"model built for spatial shape {self.cfg.input_shape}, got {x.shape[2:]}"
+                f"model built for [B, 1, D, H, W] input, (D, H, W) = {tuple(self.cfg.input_shape)}; got {x.shape}"
             )
         if x.dtype != self.store.dtype:
-            raise DomainError(f"model computes in {np.dtype(self.store.dtype).name}, got {x.dtype.name} input")
-        self._set_training(training)
+            raise DomainError(f"model computes in {self.store.dtype.name}, got {x.dtype.name} input")
         for block in self.blocks:
+            for cb in block.llb or ():
+                cb.bn.training = training
             x = fusion_block_forward(x, block, self.cfg.conv_order)
         return head_forward(x, self.head_w, self.head_b)
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         return self.forward(x, training)
-
-    def _set_training(self, flag: bool):
-        for block in self.blocks:
-            if block.llb is not None:
-                for cb in block.llb:
-                    cb.bn.training = flag
 
     # -- parameter access --
 
@@ -283,11 +283,11 @@ def _build_spt_part(store: ParamStore, prefix: str, part: S.SptPartConfig) -> S.
     )
 
 
-def _build_cnn_block(store: ParamStore, prefix: str, c_in: int, c_out: int) -> CnnBlockParams:
+def _build_cnn_block(store: ParamStore, prefix: str, c_in: int, c_out: int, bias: bool = True) -> CnnBlockParams:
     return CnnBlockParams(
         conv=Conv3dParams(
             weight=store.he_conv(f"{prefix}.conv.weight", c_out, c_in),
-            bias=store.zeros(f"{prefix}.conv.bias", c_out),
+            bias=store.zeros(f"{prefix}.conv.bias", c_out) if bias else None,
         ),
         bn=BatchNorm3dState(
             gamma=store.ones(f"{prefix}.bn.gamma", c_out),
@@ -305,16 +305,14 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
     zeros for biases/beta, ones for gamma. Deterministic given the seed.
     """
     cfg.validate()
-    try:
-        ok = dtype is not None and np.dtype(dtype) in (np.float32, np.float64)
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"a model computes in float32 or float64, got dtype {dtype!r}")
-    store = ParamStore(np.random.default_rng(seed), np.dtype(dtype))
+    float_dtype(dtype)
+    if not _integer(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    store = ParamStore(np.random.default_rng(seed), dtype)
     shape = tuple(cfg.input_shape)
     channels = 1
     blocks = []
+    bias = cfg.conv_order == "relu_bn"  # under bn_relu, BatchNorm's mean subtraction cancels a conv bias
     for i in range(cfg.num_blocks):
         prefix = f"blocks.{i}"
         llb = None
@@ -324,8 +322,8 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
         if cfg.ablation != "no_cnn":
             c1, c2 = cfg.llb_channels[i]
             llb = (
-                _build_cnn_block(store, f"{prefix}.llb.cb0", channels, c1),
-                _build_cnn_block(store, f"{prefix}.llb.cb1", c1, c2),
+                _build_cnn_block(store, f"{prefix}.llb.cb0", channels, c1, bias),
+                _build_cnn_block(store, f"{prefix}.llb.cb1", c1, c2, bias),
             )
             out_channels += c2
         if cfg.ablation != "no_transformer":
@@ -356,8 +354,7 @@ def save_checkpoint(path, model: GLDN):
     The records are float32, so a model of another dtype is refused before any file is opened.
     """
     if model.store.dtype != np.float32:
-        dtype = np.dtype(model.store.dtype).name
-        raise ConfigError(f"checkpoint records are float32; a {dtype} model would be rounded")
+        raise ConfigError(f"checkpoint records are float32; a {model.store.dtype.name} model would be rounded")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -391,44 +388,39 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         raise FormatError(f"unsupported checkpoint version {version}", offset=8)
     arrays: dict[str, np.ndarray] = {}
     pos = 12
+
+    def take(n: int, what: str) -> bytes:
+        """The next n bytes; the cursor moves past them, and a record cut short raises here."""
+        nonlocal pos
+        if pos + n > len(blob):
+            raise FormatError(f"truncated {what}", offset=pos)
+        pos += n
+        return blob[pos - n : pos]
+
     while pos < len(blob):
         start = pos
-        if pos + 4 > len(blob):
-            raise FormatError("truncated record header", offset=start)
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if name_len == 0 or name_len > 4096 or pos + name_len > len(blob):
+        (name_len,) = struct.unpack("<I", take(4, "record header"))
+        if name_len == 0 or name_len > 4096:
             raise FormatError(f"bad record name length {name_len}", offset=start)
         try:
-            name = blob[pos : pos + name_len].decode("utf-8")
+            name = take(name_len, "record name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("record name is not UTF-8", offset=start) from None
         if name in arrays:
             raise FormatError(f"duplicate record {name}", offset=start)
-        pos += name_len
-        if pos + 4 > len(blob):
-            raise FormatError(f"truncated rank field for {name}", offset=pos)
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
+        (rank,) = struct.unpack("<I", take(4, f"rank field for {name}"))
         if rank > 32:
             raise FormatError(f"implausible rank {rank} for {name}", offset=pos - 4)
-        if pos + 4 * rank > len(blob):
-            raise FormatError(f"truncated extents for {name}", offset=pos)
-        extents = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
+        extents = struct.unpack(f"<{rank}I", take(4 * rank, f"extents for {name}"))
         count = 1
         for e in extents:
             if e == 0 or count * e > 2**31:
                 raise FormatError(f"extent overflow {extents} for {name}", offset=pos - 4 * rank)
             count *= e
-        nbytes = 4 * count
-        if pos + nbytes > len(blob):
-            raise FormatError(f"truncated payload for {name}", offset=pos)
-        arr = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(extents).copy()
+        arr = np.frombuffer(take(4 * count, f"payload for {name}"), dtype="<f4").reshape(extents).copy()
         if not all_finite(arr):
             raise FormatError(f"non-finite values in record {name}", offset=start)
         arrays[name] = arr
-        pos += nbytes
     return arrays
 
 

@@ -16,8 +16,8 @@ once on the way in and once on the way out.
 The part plan (`SptPartConfig`, laid out by `plan_spt`) is the only source of
 shapes and head counts inside a part; its parameters are tensors alone.
 `spt_part_forward` checks its input against the plan once. The steps it calls
-take their shapes from the plan and check nothing: `resolve_patch` guarantees
-that the patch splits both in-slice extents into an even token grid.
+take their shapes from the plan and check nothing: `plan_spt` picks each
+part's patch so that it splits both in-slice extents into an even token grid.
 
 Patch sizes adapt per part: a part uses the largest power-of-two patch edge
 <= the requested one for which both in-slice extents split into an even token
@@ -54,7 +54,7 @@ class SptPartConfig:
     slice_hw: tuple[int, int]  # in-slice extents before patching
 
     @property
-    def grid(self) -> tuple[int, int]:  # the token grid; resolve_patch makes both sides even
+    def grid(self) -> tuple[int, int]:  # the token grid; plan_spt makes both sides even
         return (self.slice_hw[0] // self.patch, self.slice_hw[1] // self.patch)
 
     @property
@@ -85,19 +85,6 @@ class SptPartParams:
     depatch_b: Tensor
 
 
-def resolve_patch(extents: tuple[int, int], requested: int) -> int:
-    """Largest power-of-two patch edge <= requested giving an even token grid."""
-    p = requested
-    while p >= 1:
-        if all(e % (2 * p) == 0 for e in extents):
-            return p
-        p //= 2
-    raise ConfigError(
-        f"in-slice extents {extents} admit no patch size <= {requested} "
-        f"with an even token grid (extents must be divisible by 2*patch)"
-    )
-
-
 def plan_spt(
     shape: tuple[int, int, int],
     in_channels: int,
@@ -112,17 +99,21 @@ def plan_spt(
     `out_channels` applies to every part (each part re-encodes the volume);
     the last part's value is the stage's output channel count.
     """
-    if embed_dim % heads != 0:
+    if heads < 1 or embed_dim % heads != 0:
         raise ConfigError(f"embed dim {embed_dim} not divisible by {heads} heads")
     dims = list(shape)
     channels = in_channels
     parts = []
     for axis in (0, 1, 2):
         inslice = tuple(dims[a] for a in (0, 1, 2) if a != axis)
-        try:
-            p = resolve_patch(inslice, patch)
-        except ConfigError as e:
-            raise ConfigError(f"part {axis} ({VIEW_NAMES[axis]}): {e}") from e
+        p = patch  # halved until it splits both in-slice extents into an even token grid
+        while p >= 1 and any(e % (2 * p) for e in inslice):
+            p //= 2
+        if p < 1:
+            raise ConfigError(
+                f"part {axis} ({VIEW_NAMES[axis]}): in-slice extents {inslice} admit no patch size"
+                f" <= {patch} with an even token grid (extents must be divisible by 2*patch)"
+            )
         parts.append(
             SptPartConfig(
                 axis=axis,

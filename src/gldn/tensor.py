@@ -25,9 +25,21 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError, NumericsError
 
 DEFAULT_DTYPE = np.float32
+FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
 _node_counter = itertools.count()
+
+
+def float_dtype(dtype) -> np.dtype:
+    """`dtype` as a numpy dtype if it is float32 or float64; any other raises ConfigError."""
+    try:
+        ok = dtype is not None and np.dtype(dtype) in FLOAT_DTYPES
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"tensors compute in float32 or float64, got dtype {dtype!r}")
+    return np.dtype(dtype)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -73,12 +85,13 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is None:
-            if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
-                dtype = data.dtype
-            else:
-                dtype = DEFAULT_DTYPE
+            dtype = data.dtype if isinstance(data, np.ndarray) and data.dtype in FLOAT_DTYPES else DEFAULT_DTYPE
+        else:
+            dtype = float_dtype(dtype)
+        if np.iscomplexobj(data):
+            raise DomainError(f"tensor data must be real, got {type(data).__name__} of complex values")
         try:
-            arr = np.ascontiguousarray(data, dtype=dtype)
+            arr = np.asarray(data, dtype=dtype, order="C")
         except (TypeError, ValueError) as e:
             raise DomainError(f"tensor data must be numeric, got {type(data).__name__}: {e}") from e
         if any(n <= 0 for n in arr.shape):
@@ -165,9 +178,7 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
+        return reshape(self, shape[0] if len(shape) == 1 else shape)
 
 
 def as_tensor(value, like: Tensor | None = None) -> Tensor:
@@ -300,6 +311,15 @@ def sqrt(a: Tensor) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """`values`, an integer or a sequence of them, as a tuple of Python ints; anything else raises
+    DimensionError naming `what` (an axis, a shape, a permutation)."""
+    try:
+        return tuple(map(operator.index, (values,) if isinstance(values, (int, np.integer)) else values))
+    except TypeError:
+        raise DimensionError(f"{what} {values!r} is not an integer or a sequence of them") from None
+
+
 def _normalize_axes(axis, shape):
     """`axis` (an integer, a tuple or list of them, or None for all) of an array of `shape` as
     non-negative ints; a non-integer, out-of-range or repeated axis raises DimensionError."""
@@ -307,11 +327,7 @@ def _normalize_axes(axis, shape):
     if axis is None:
         return tuple(range(ndim))
     axes = []
-    for a in axis if isinstance(axis, (tuple, list)) else (axis,):
-        try:
-            a = operator.index(a)
-        except TypeError:
-            raise DimensionError(f"axis {a!r} is not an integer") from None
+    for a in _ints(axis, "axis"):
         if not -ndim <= a < ndim:
             raise DimensionError(f"axis {a} out of range for shape {shape}")
         axes.append(a % ndim)
@@ -337,8 +353,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """tsum over its count. numpy's mean divides the same sum in float64 and rounds, which is exact for a
     division, so while the count is exact in a's dtype (to 2**24 in float32) the bytes are numpy's."""
     total = tsum(a, axis, keepdims)
-    count = Tensor._from_op(np.array(a.size // total.size, a.dtype), False, None)  # 0-d: keeps the sum's shape
-    return div(total, count)
+    return div(total, a.size // total.size)
 
 
 # -- structural ops -----------------------------------------------------------
@@ -371,7 +386,7 @@ def _fold_matmul(x, w):
 
 
 def permute_axes(a: Tensor, perm) -> Tensor:
-    perm = tuple(perm)
+    perm = _ints(perm, "perm")
     if sorted(perm) != list(range(a.ndim)):
         raise DimensionError(f"perm {perm} is not a permutation of 0..{a.ndim - 1}")
     inverse = np.argsort(perm)
@@ -385,7 +400,7 @@ def permute_axes(a: Tensor, perm) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape = _ints(shape, "shape")
     out_data = _fit(np.reshape, a.data, shape)
     in_shape = a.shape
 

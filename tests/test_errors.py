@@ -1,0 +1,41 @@
+"""Public entry points refuse bad input with the `errors.py` taxonomy, never a raw Python or numpy error."""
+
+import numpy as np
+import pytest
+
+from gldn import layers as L, model as M, spt as S, tensor as T
+from gldn.errors import ConfigError, DimensionError, DomainError
+
+CFG = M.ModelConfig(
+    input_shape=(8, 8, 8), llb_channels=((2, 4),), glb_channels=(2,), patch=(2,), embed_dim=(8,), depth=(1,), heads=(2,)
+)
+
+
+def t23():
+    return T.Tensor(np.ones((2, 3)))
+
+
+def q():
+    return T.Tensor(np.ones((1, 4, 4)))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(
+            lambda: M.build_model(CFG).forward(np.ones((1, 1, 8, 8, 8), np.float32)), DomainError, id="forward-ndarray"
+        ),
+        pytest.param(lambda: M.build_model(CFG, seed=-1), ConfigError, id="build-negative-seed"),
+        pytest.param(lambda: M.build_model(CFG, seed="a"), ConfigError, id="build-str-seed"),
+        pytest.param(lambda: T.reshape(t23(), (2.0, 3)), DimensionError, id="reshape-float-extent"),
+        pytest.param(lambda: t23().reshape("a"), DimensionError, id="method-reshape-str"),
+        pytest.param(lambda: T.permute_axes(t23(), (0, "1")), DimensionError, id="permute-str-axis"),
+        pytest.param(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, 0, 2), ConfigError, id="plan-zero-heads"),
+        pytest.param(lambda: L.scaled_dot_attention(q(), q(), q(), 2.0), DimensionError, id="attention-float-heads"),
+        pytest.param(lambda: T.Tensor(np.array([1j])), DomainError, id="tensor-complex"),
+        pytest.param(lambda: T.Tensor(np.ones(3), dtype=np.int32), ConfigError, id="tensor-int-dtype"),
+    ],
+)
+def test_bad_input_raises_its_taxonomy_class(call, error):
+    with pytest.raises(error):
+        call()

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -211,9 +212,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("order", ["relu_bn", "bn_relu"])
     def test_float32_grads_match_float64_build(self, order):
         # GEMM summation order is not fixed, so float32 grads are specified within a
-        # tolerance of each grad's float64 max (measured <= 1.9e-6 here); a grad whose
-        # float64 max is below 1e-6 gets an absolute floor instead: bn_relu's conv biases,
-        # which feed BatchNorm's mean subtraction, have an exact grad of 0
+        # tolerance of each grad's float64 max (measured <= 1.9e-6 here)
         x = rand_input((8, 8, 8), batch=2, seed=18, dtype=np.float64)
         coeff = np.random.default_rng(20).normal(size=(2, 84))
         grads = {}
@@ -223,8 +222,7 @@ class TestBuildModel:
             grads[dtype] = {name: t.grad for name, t in model.parameters().items()}
         for name, ref in grads[np.float64].items():
             scale = np.abs(ref).max()
-            tol = 1e-4 * scale if scale >= 1e-6 else 2e-8
-            assert np.abs(grads[np.float32][name] - ref).max() <= tol, (name, scale)
+            assert np.abs(grads[np.float32][name] - ref).max() <= 1e-4 * scale, (name, scale)
 
     def test_same_seed_bitwise_identical(self):
         a = M.build_model(tiny_config(), seed=7)
@@ -292,6 +290,23 @@ class TestBuildModel:
         model = M.build_model(tiny_config(), seed=0)
         with pytest.raises(DimensionError, match="built for"):
             model.forward(rand_input((16, 16, 16)))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 8, 8, 8), (1, 1, 8, 8, 16), (1, 1, 8, 8), (1, 8, 8, 8, 1, 1)])
+    def test_wrong_channels_or_extent_rejected_at_forward(self, shape):
+        model = M.build_model(tiny_config(), seed=0)
+        with pytest.raises(DimensionError, match=r"built for.*\(8, 8, 8\).*" + re.escape(str(shape))):
+            model.forward(Tensor(np.ones(shape, np.float32)))
+
+    def test_each_call_sets_every_batchnorm_mode(self):
+        two_blocks = dict(llb_channels=((2, 4), (4, 8)), glb_channels=(2, 2), patch=(2, 1), embed_dim=(8, 8))
+        model = M.build_model(tiny_config(input_shape=(16, 16, 16), depth=(1, 1), heads=(2, 2), **two_blocks))
+        bns = [cb.bn for block in model.blocks for cb in block.llb]
+        assert len(bns) == 4
+        x = rand_input((16, 16, 16), batch=2)
+        model.forward(x, training=True)
+        assert all(bn.training for bn in bns)
+        model.forward(x, training=False)
+        assert not any(bn.training for bn in bns)
 
     def test_input_of_another_dtype_rejected_at_forward(self):
         # a float64 input would silently promote a float32 model's whole forward
@@ -445,6 +460,41 @@ class TestZeroSign:
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
+class TestConvBias:
+    """A conv bias exists only where it can learn: under bn_relu, BatchNorm's mean subtraction cancels it."""
+
+    def test_bn_relu_builds_no_conv_bias(self):
+        model = M.build_model(tiny_config(conv_order="bn_relu"), seed=0)
+        assert not any(name.endswith("conv.bias") for name in model.parameters())
+        assert all(cb.conv.bias is None for cb in model.blocks[0].llb)
+        assert {"blocks.0.llb.cb0.conv.bias", "blocks.0.llb.cb1.conv.bias"} <= set(M.build_model(tiny_config()).parameters())
+
+    def test_bn_relu_checkpoint_with_a_conv_bias_refused(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.build_model(tiny_config(), seed=0))  # relu_bn: same names plus the conv biases
+        with pytest.raises(ConfigError, match="unknown.*llb.cb0.conv.bias"):
+            M.load_checkpoint(path, M.build_model(tiny_config(conv_order="bn_relu"), seed=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropping_the_bias_changes_no_value(self, dtype):
+        # the same model with a zero conv bias added back: probs, the other grads and the running stats agree
+        x = rand_input((8, 8, 8), batch=2, seed=1, dtype=dtype)
+        coeff = np.random.default_rng(2).normal(size=(2, 84))
+        models = [M.build_model(tiny_config(conv_order="bn_relu"), seed=3, dtype=dtype) for _ in range(2)]
+        for cb in models[1].blocks[0].llb:
+            cb.conv.bias = Tensor(np.zeros(cb.conv.weight.shape[0], dtype), requires_grad=True)
+        probs = []
+        for model in models:
+            out = model.forward(x, training=True)
+            backward((out * coeff).sum())
+            probs.append(out.data)
+        np.testing.assert_array_equal(probs[0], probs[1])
+        for name, t in models[0].parameters().items():
+            np.testing.assert_array_equal(t.grad, models[1].parameters()[name].grad, err_msg=name)
+        for name, arr in models[0].store.buffers.items():
+            np.testing.assert_array_equal(arr, models[1].store.buffers[name], err_msg=name)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = M.build_model(tiny_config(), seed=11)
@@ -542,6 +592,13 @@ class TestCheckpoint:
             M.save_checkpoint(path, M.build_model(tiny_config(), seed=21, dtype=np.float64))
         assert not path.exists() and not (tmp_path / "model.ckpt.tmp").exists()
         assert os.listdir(tmp_path) == []
+
+    def test_name_past_the_end(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(M.CKPT_MAGIC + struct.pack("<I", M.CKPT_VERSION) + struct.pack("<I", 8) + b"blocks")
+        with pytest.raises(FormatError, match="truncated record name") as ei:
+            M.read_checkpoint(path)
+        assert ei.value.offset == 16  # after the record's name length field
 
     def test_extent_overflow(self, tmp_path):
         path = tmp_path / "bad.ckpt"

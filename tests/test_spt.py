@@ -1,6 +1,7 @@
 """Permuted-transformer stage: tokenization, merging, shape contracts."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,11 @@ class TestPlanSpt:
         # odd in-slice extent that no patch size can split evenly
         with pytest.raises(ConfigError, match="part 2"):
             build_plan((96, 114, 96), patch=8)
+
+    def test_no_patch_fits_names_the_part(self):
+        # part 0 splits (8, 8); part 1 then sees (5, 4), and 5 is odd for every patch
+        with pytest.raises(ConfigError, match=re.escape("part 1 (axial)")):
+            build_plan((5, 8, 8), patch=2)
 
     def test_indivisible_heads(self):
         with pytest.raises(ConfigError, match="heads"):

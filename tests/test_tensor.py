@@ -103,6 +103,29 @@ class TestPermute:
             permute_axes(Tensor(np.ones((2, 2))), (0, 0))
 
 
+class TestRank:
+    """A Tensor keeps its data's rank: a 0-d value stays 0-d, and so does arithmetic with scalars."""
+
+    def test_scalars_are_0d(self):
+        assert Tensor(3.0).shape == ()
+        assert Tensor(np.array(2.0)).shape == ()
+        x = t64([1.0, 2.0, 3.0])
+        loss = (x.sum() - 1.0) * 0.5
+        assert loss.shape == ()
+        assert loss.item() == 2.5
+
+    def test_backward_from_a_0d_loss(self):
+        x = t64([1.0, 2.0, 3.0])
+        backward((x.sum() - 1.0) * 0.5)
+        np.testing.assert_array_equal(x.grad, [0.5, 0.5, 0.5])
+
+    def test_mean_keeps_the_sum_shape(self):
+        x = t64(np.arange(6.0).reshape(2, 3))
+        assert x.mean().shape == ()
+        assert x.mean(axis=1).shape == (2,)
+        assert x.mean(axis=1, keepdims=True).shape == (2, 1)
+
+
 class TestConcat:
     def test_channel_concat_shape(self):
         a = Tensor(np.zeros((32, 24, 28, 24), dtype=np.float32))
