@@ -5,6 +5,10 @@ Convolution and pooling are fused primitives with hand-written backward rules
 im2col for the forward pass and dW, col2im for dX, all through one tap-view
 helper, with each slab's column buffer held under a fixed byte bound. The 2x2x2
 max pool reads its 8 window positions as strided views and keeps a uint8 argmax.
+An unrecorded eval CNN block pools inside the conv's slabs (`conv3d_pool`), so
+the full-resolution conv output is never built. That is exact: eval relu and
+BatchNorm are monotone maps per channel, and so is their rounding, so they
+commute with the window max, which becomes a min where BatchNorm's gamma < 0.
 BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
 backward; they differ only in the reduced axes and where the statistics come
 from. Multi-head scaled dot-product attention is one node with a hand-written
@@ -33,7 +37,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, apply_op, matmul, recording, reshape
+from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, apply_op, check_finite, matmul, recording, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -125,6 +129,28 @@ def _cols(xp: np.ndarray, d0: int, d1: int) -> np.ndarray:
     return cols.reshape(c_in * 27, -1)
 
 
+def _conv_operands(x: Tensor, p: Conv3dParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """Check x against the kernel. Returns padded x, the [C_out, C_in*27] kernel matrix and the
+    column bytes of one output depth, the slab unit of `_chunks`."""
+    if x.ndim != 5:
+        raise DimensionError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
+    B, c_in, D, H, W = x.shape
+    c_out, c_in_w, kd, kh, kw = p.weight.shape
+    if (kd, kh, kw) != (3, 3, 3):
+        raise DimensionError(f"conv3d kernel must be 3x3x3, got {(kd, kh, kw)}")
+    if c_in != c_in_w:
+        raise DimensionError(f"conv3d channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+    return xp, p.weight.data.reshape(c_out, c_in * 27), 27 * c_in * B * H * W * x.data.itemsize
+
+
+def _conv_slab(wm: np.ndarray, xp: np.ndarray, d0: int, d1: int) -> np.ndarray:
+    """Output depths [d0, d1) of the bias-free conv: one GEMM, seen as [B, C_out, d1-d0, H, W]."""
+    B, _, _, H, W = xp.shape
+    y = wm @ _cols(xp, d0, d1)
+    return y.reshape(len(wm), B, d1 - d0, H - 2, W - 2).transpose(1, 0, 2, 3, 4)
+
+
 def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     """Cross-correlation with zero padding 1 and stride 1.
 
@@ -136,24 +162,14 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     of a whole volume would take 27x the input's memory; slabs hold that
     transient under _CHUNK_BYTES so it stays small next to the activations.
     """
-    if x.ndim != 5:
-        raise DimensionError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
+    xp, wm, unit = _conv_operands(x, p)
     B, c_in, D, H, W = x.shape
-    c_out, c_in_w, kd, kh, kw = p.weight.shape
-    if (kd, kh, kw) != (3, 3, 3):
-        raise DimensionError(f"conv3d kernel must be 3x3x3, got {(kd, kh, kw)}")
-    if c_in != c_in_w:
-        raise DimensionError(
-            f"conv3d channel mismatch: input has {c_in}, weight expects {c_in_w}"
-        )
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-    wm = p.weight.data.reshape(c_out, c_in * 27)
-    slabs = _chunks(D, 27 * c_in * B * H * W * x.data.itemsize)  # output depth ranges
+    c_out = len(wm)
+    slabs = _chunks(D, unit)  # output depth ranges
     need_dx = x.requires_grad  # no dX for a constant input
     out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
     for d0, d1 in slabs:
-        y = (wm @ _cols(xp, d0, d1)).reshape(c_out, B, d1 - d0, H, W).transpose(1, 0, 2, 3, 4)
+        y = _conv_slab(wm, xp, d0, d1)
         if p.bias is None:
             out_data[:, :, d0:d1] = y
         else:
@@ -177,6 +193,30 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     return apply_op(out_data, (x, p.weight) if p.bias is None else (x, p.weight, p.bias), bwd)
 
 
+def conv3d_pool(x: Tensor, p: Conv3dParams, sign: np.ndarray) -> Tensor:
+    """sign * maxpool3d(sign * conv3d(x, p)) for `sign` +-1 per output channel, as a constant.
+
+    Negation is exact, so a channel with sign -1 gets its window minimum. Each
+    slab holds an even number of output depths and is pooled as soon as its
+    GEMM is done, so the full-resolution output is never built. Each slab is
+    checked for non-finite values first, which the pool could hide. No node is recorded.
+    """
+    xp, wm, unit = _conv_operands(x, p)
+    sign = np.asarray(sign, wm.dtype).reshape(-1, 1, 1, 1)  # per channel of [B, C_out, D, H, W]
+    wm = wm * sign.reshape(-1, 1)
+    bias = None if p.bias is None else p.bias.data.reshape(-1, 1, 1, 1) * sign
+    conv_shape = (x.shape[0], len(wm), *x.shape[2:])
+    out = np.empty(_pooled_shape(conv_shape), x.dtype)
+    for h0, h1 in _chunks(out.shape[2], 2 * unit):  # pooled depth ranges
+        y = _conv_slab(wm, xp, 2 * h0, 2 * h1)
+        if bias is not None:
+            y += bias
+        check_finite(y, "conv3d", conv_shape)
+        _window_max(y, out[:, :, h0:h1])
+    out *= sign
+    return Tensor(out)
+
+
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0 if recording(x) else None  # subgradient at 0 defined as 0
 
@@ -191,6 +231,23 @@ def _windows(a: np.ndarray) -> list[np.ndarray]:
     return [a[:, :, i::2, j::2, k::2] for i, j, k in product(range(2), repeat=3)]
 
 
+def _window_max(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The 2x2x2 window maximum of `a`, written into `out`."""
+    views = _windows(a)
+    np.maximum(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
+def _pooled_shape(shape) -> tuple[int, ...]:
+    """The [B, C, D/2, H/2, W/2] shape of a 2x2x2 pool over `shape`; an odd extent raises."""
+    D, H, W = shape[2:]
+    if D % 2 or H % 2 or W % 2:
+        raise DimensionError(f"maxpool3d needs extents divisible by 2, got {(D, H, W)}")
+    return (*shape[:2], D // 2, H // 2, W // 2)
+
+
 def maxpool3d(x: Tensor) -> Tensor:
     """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax.
 
@@ -200,16 +257,11 @@ def maxpool3d(x: Tensor) -> Tensor:
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [B,C,D,H,W], got {x.shape}")
-    D, H, W = x.shape[2:]
-    if D % 2 or H % 2 or W % 2:
-        raise DimensionError(f"maxpool3d needs extents divisible by 2, got {(D, H, W)}")
     shape, dtype = x.shape, x.dtype
-    views = _windows(x.data)
-    out_data = views[0].copy()
-    for view in views[1:]:
-        np.maximum(out_data, view, out=out_data)
+    out_data = _window_max(x.data, np.empty(_pooled_shape(shape), dtype))
     arg = None
     if recording(x):
+        views = _windows(x.data)
         arg = np.empty(out_data.shape, np.uint8)  # every entry is written below
         hit = np.empty(out_data.shape, bool)
         for t in range(7, -1, -1):  # written last, the lowest index that attains the max wins

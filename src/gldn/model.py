@@ -25,13 +25,14 @@ from .layers import (
     EncoderLayerParams,
     batchnorm3d,
     conv3d,
+    conv3d_pool,
     global_avg_pool,
     linear,
     maxpool3d,
     relu,
     softmax,
 )
-from .tensor import Tensor, all_finite, concat, float_dtype
+from .tensor import Tensor, all_finite, concat, float_dtype, recording
 
 N_BINS = 84
 
@@ -163,13 +164,24 @@ class FusionBlock:
 
 
 def cnn_block(x: Tensor, p: CnnBlockParams, order: str) -> Tensor:
-    """Conv(3, pad 1) then ReLU/BN (in the configured order) then MaxPool(2)."""
-    h = conv3d(x, p.conv)
+    """Conv(3, pad 1) then ReLU/BN (in the configured order) then MaxPool(2).
+
+    When nothing is recorded and BatchNorm is in eval mode, the pool runs
+    first, inside the conv's slabs (`conv3d_pool`), and relu and BatchNorm run
+    on the pooled volume, with the same values: both are then monotone per
+    channel, so the window max becomes a min where gamma < 0 (see `layers`).
+    """
+    conv = (p.conv.weight,) if p.conv.bias is None else (p.conv.weight, p.conv.bias)
+    fused = not p.bn.training and not recording(x, *conv, p.bn.gamma, p.bn.beta)
+    if fused:
+        h = conv3d_pool(x, p.conv, np.where(p.bn.gamma.data < 0, -1.0, 1.0))
+    else:
+        h = conv3d(x, p.conv)
     if order == "relu_bn":
         h = batchnorm3d(relu(h), p.bn)
     else:
         h = relu(batchnorm3d(h, p.bn))
-    return maxpool3d(h)
+    return h if fused else maxpool3d(h)
 
 
 def llb_forward(x: Tensor, blocks, order: str) -> Tensor:

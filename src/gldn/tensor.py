@@ -194,6 +194,16 @@ def recording(*inputs) -> bool:
     return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
+def check_finite(a: np.ndarray, op: str, shape=None):
+    """Raise NumericsError naming forward op `op`, the output shape and dtype if `a` holds a NaN or
+    an inf. `shape` is the whole output's where `a` is one part of it."""
+    if not all_finite(a):
+        raise NumericsError(
+            f"non-finite values produced by forward op {op}"
+            f" (output shape {a.shape if shape is None else shape}, dtype {a.dtype})"
+        )
+
+
 def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> Tensor:
     """Create the output of a differentiable primitive and record its node.
 
@@ -201,11 +211,9 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn, check: bool = True) -> T
     data-movement ops may pass check=False since their inputs were already
     validated.
     """
-    if check and not all_finite(out_data):
-        raise NumericsError(
-            f"non-finite values produced by forward op {backward_fn.__qualname__}"
-            f" (output shape {out_data.shape}, dtype {out_data.dtype})"
-        )
+    out_data = np.asarray(out_data)  # a ufunc of 0-d operands returns a numpy scalar
+    if check:
+        check_finite(out_data, backward_fn.__qualname__)
     if not recording(*inputs):
         return Tensor._from_op(out_data, False, None)
     parents = tuple(t._node or (t if t.requires_grad else None) for t in inputs)
@@ -216,7 +224,7 @@ def _fit(np_fn, *args):
     """Apply a numpy op, whose own shape checks are the only ones: a ValueError becomes a
     DimensionError naming the op and the shapes of its array operands, a list operand's parts included."""
     try:
-        return np.asarray(np_fn(*args))  # a ufunc of 0-d operands returns a numpy scalar
+        return np_fn(*args)
     except ValueError as e:
         arrays = [p for a in args for p in (a if isinstance(a, list) else (a,)) if isinstance(p, np.ndarray)]
         raise DimensionError(f"{np_fn.__name__} of shapes {[p.shape for p in arrays]}: {e}") from e
@@ -346,7 +354,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
-    return apply_op(np.asarray(out_data), (a,), bwd)
+    return apply_op(out_data, (a,), bwd)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -8,14 +8,15 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gldn import model as M
-from gldn.errors import ConfigError, DimensionError, DomainError, FormatError
+from gldn import layers as L, model as M
+from gldn.errors import ConfigError, DimensionError, DomainError, FormatError, NumericsError
 from gldn.tensor import Tensor, apply_op, backward, grad_check, no_grad
 
 FULL = M.ModelConfig(input_shape=(96, 112, 96))
@@ -96,6 +97,82 @@ class TestCnnBlock:
         tensors = [x, cb.conv.weight, cb.conv.bias, cb.bn.gamma, cb.bn.beta]
         for res in grad_check(f, tensors, tol=1e-4, sample=40):
             assert res.passed, res
+
+
+class TestFusedEval:
+    """Unrecorded, with BatchNorm in eval, `cnn_block` pools inside the conv's slabs (`layers.conv3d_pool`)."""
+
+    def block(self, dtype, c_in, c_out, gammas="positive", seed=0):
+        store = M.ParamStore(np.random.default_rng(seed), dtype)
+        cb = M._build_cnn_block(store, "cb", c_in, c_out)
+        rng = np.random.default_rng(seed + 1)
+        gamma = rng.uniform(0.5, 2.0, c_out)
+        if gammas == "some negative":
+            gamma[::3] *= -1
+        elif gammas == "all negative":
+            gamma *= -1
+        elif gammas == "one zero":
+            gamma[1] = 0.0
+        cb.bn.gamma.data[:] = gamma
+        cb.bn.beta.data[:] = rng.normal(size=c_out)
+        cb.bn.running_mean[:] = rng.normal(size=c_out)
+        cb.bn.running_var[:] = rng.uniform(0.5, 2.0, c_out)
+        cb.conv.bias.data[:] = rng.normal(size=c_out)
+        cb.bn.training = False
+        return cb
+
+    # pooled depth pairs per slab: the default bound (one slab), one pair per slab, and 2, 2, 1
+    @pytest.mark.parametrize("pairs", [None, 1, 2])
+    @pytest.mark.parametrize("gammas", ["positive", "some negative", "all negative", "one zero"])
+    @pytest.mark.parametrize("order", ["relu_bn", "bn_relu"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_recorded_eval_path(self, monkeypatch, dtype, order, gammas, pairs):
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 10, 6, 4)).astype(dtype))
+        cb = self.block(dtype, 3, 5, gammas)
+        if pairs is not None:  # a depth's columns take 27 * C_in * B * H * W elements
+            monkeypatch.setattr(L, "_CHUNK_BYTES", pairs * 2 * 27 * 3 * 2 * 6 * 4 * x.data.itemsize)
+        recorded = M.cnn_block(x, cb, order)  # the parameters require grad
+        assert recorded.requires_grad
+        with no_grad(), monkeypatch.context() as m:
+            m.setattr(M, "maxpool3d", None)  # the fused path never pools a full-resolution volume
+            fused = M.cnn_block(x, cb, order)
+        assert fused.dtype == dtype and fused.shape == recorded.shape == (2, 5, 5, 3, 2)
+        np.testing.assert_array_equal(fused.data, recorded.data)  # in value: the sign of a zero is unspecified
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_a_non_finite_value_the_pool_would_hide_raises(self, fused):
+        cb = self.block(np.float32, 1, 2)
+        cb.conv.weight.data[:] = 0.0
+        cb.conv.weight.data[:, :, 1, 1, 1] = 10.0  # the centre tap alone: y = 10 x + b
+        x = np.ones((1, 1, 4, 4, 4), np.float32)
+        x[0, 0, 1, 2, 1] = -3e38  # y = -inf there and finite elsewhere, so every window max is finite
+        with contextlib.nullcontext() if not fused else no_grad():
+            with np.errstate(over="ignore"), pytest.raises(NumericsError, match=r"conv3d.*\(1, 2, 4, 4, 4\)"):
+                M.cnn_block(Tensor(x), cb, "relu_bn")
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_odd_extents_raise(self, fused):
+        cb = self.block(np.float32, 1, 2)
+        with contextlib.nullcontext() if not fused else no_grad():
+            with pytest.raises(DimensionError, match="divisible by 2"):
+                M.cnn_block(rand_input((4, 5, 4)), cb, "relu_bn")
+
+    def test_the_full_resolution_output_is_never_built(self):
+        cb = self.block(np.float32, 4, 32)
+        x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 64, 64, 64)).astype(np.float32))
+        conv_bytes = 32 * 64**3 * 4
+        assert conv_bytes > L._CHUNK_BYTES
+        peaks = []
+        for training in (False, True):  # a train-mode BatchNorm needs the whole conv output
+            cb.bn.training = training
+            tracemalloc.start()
+            try:
+                with no_grad():
+                    M.cnn_block(x, cb, "relu_bn")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < conv_bytes < peaks[1], peaks
 
 
 class TestLlb:

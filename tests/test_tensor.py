@@ -119,6 +119,11 @@ class TestRank:
         backward((x.sum() - 1.0) * 0.5)
         np.testing.assert_array_equal(x.grad, [0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("op", [T.neg, T.exp, T.log, T.sqrt, L.relu])
+    def test_unary_ops_of_0d_store_a_0d_ndarray(self, op):
+        out = op(t64(2.0))
+        assert type(out.data) is np.ndarray and out.shape == ()
+
     def test_mean_keeps_the_sum_shape(self):
         x = t64(np.arange(6.0).reshape(2, 3))
         assert x.mean().shape == ()
