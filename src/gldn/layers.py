@@ -54,7 +54,7 @@ class Conv3dParams:
     """3x3x3 kernel, padding 1, stride 1: spatial extents are preserved."""
 
     weight: Tensor  # [C_out, C_in, 3, 3, 3]
-    bias: Tensor | None  # [C_out]; None where a BatchNorm that follows would cancel it
+    bias: Tensor  # [C_out]
 
 
 @dataclass
@@ -169,11 +169,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     need_dx = x.requires_grad  # no dX for a constant input
     out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
     for d0, d1 in slabs:
-        y = _conv_slab(wm, xp, d0, d1)
-        if p.bias is None:
-            out_data[:, :, d0:d1] = y
-        else:
-            np.add(y, p.bias.data.reshape(1, -1, 1, 1, 1), out=out_data[:, :, d0:d1])
+        np.add(_conv_slab(wm, xp, d0, d1), p.bias.data.reshape(1, -1, 1, 1, 1), out=out_data[:, :, d0:d1])
 
     def bwd(g):
         dw = np.zeros_like(wm)
@@ -187,10 +183,9 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
             for t, view in enumerate(_taps(dxp, d0, d1)):
                 view += dcols[:, t].transpose(1, 0, 2, 3, 4)
         dx = None if dxp is None else np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1, 1:-1])
-        db = () if p.bias is None else (g.sum(axis=(0, 2, 3, 4)),)
-        return (dx, dw.reshape(p.weight.shape), *db)
+        return dx, dw.reshape(p.weight.shape), g.sum(axis=(0, 2, 3, 4))
 
-    return apply_op(out_data, (x, p.weight) if p.bias is None else (x, p.weight, p.bias), bwd)
+    return apply_op(out_data, (x, p.weight, p.bias), bwd)
 
 
 def conv3d_pool(x: Tensor, p: Conv3dParams, sign: np.ndarray) -> Tensor:
@@ -204,13 +199,12 @@ def conv3d_pool(x: Tensor, p: Conv3dParams, sign: np.ndarray) -> Tensor:
     xp, wm, unit = _conv_operands(x, p)
     sign = np.asarray(sign, wm.dtype).reshape(-1, 1, 1, 1)  # per channel of [B, C_out, D, H, W]
     wm = wm * sign.reshape(-1, 1)
-    bias = None if p.bias is None else p.bias.data.reshape(-1, 1, 1, 1) * sign
+    bias = p.bias.data.reshape(-1, 1, 1, 1) * sign
     conv_shape = (x.shape[0], len(wm), *x.shape[2:])
     out = np.empty(_pooled_shape(conv_shape), x.dtype)
     for h0, h1 in _chunks(out.shape[2], 2 * unit):  # pooled depth ranges
         y = _conv_slab(wm, xp, 2 * h0, 2 * h1)
-        if bias is not None:
-            y += bias
+        y += bias
         check_finite(y, "conv3d", conv_shape)
         _window_max(y, out[:, :, h0:h1])
     out *= sign

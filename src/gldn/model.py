@@ -60,7 +60,7 @@ class ModelConfig:
     depth: tuple = (2, 2)
     heads: tuple = (4, 4)
     ablation: str = "full"  # full | no_cnn | no_transformer
-    conv_order: str = "relu_bn"  # relu_bn follows the block equation; bn_relu is the conventional alternative
+    conv_order: str = "relu_bn"  # the paper's block order, the only one built
 
     @property
     def num_blocks(self) -> int:
@@ -90,8 +90,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must hold positive integers, got {getattr(self, name)}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
             raise ConfigError(f"unknown ablation {self.ablation!r}")
-        if self.conv_order not in ("relu_bn", "bn_relu"):
-            raise ConfigError(f"unknown conv_order {self.conv_order!r}")
+        if self.conv_order != "relu_bn":
+            raise ConfigError(f"conv_order must be 'relu_bn', got {self.conv_order!r}")
         for extent in self.input_shape:
             if extent % (4**n) != 0:
                 raise ConfigError(
@@ -164,23 +164,24 @@ class FusionBlock:
 
 
 def cnn_block(x: Tensor, p: CnnBlockParams, order: str) -> Tensor:
-    """Conv(3, pad 1) then ReLU/BN (in the configured order) then MaxPool(2).
+    """Conv(3, pad 1), ReLU, BatchNorm, MaxPool(2): the paper's block order.
 
+    `order` must be "relu_bn", `ModelConfig.conv_order`'s one value.
     When nothing is recorded and BatchNorm is in eval mode, the pool runs
     first, inside the conv's slabs (`conv3d_pool`), and relu and BatchNorm run
     on the pooled volume, with the same values: both are then monotone per
     channel, so the window max becomes a min where gamma < 0 (see `layers`).
+    That path checks every conv voxel for non-finite values, and BatchNorm's
+    output only at the voxels the pool keeps.
     """
-    conv = (p.conv.weight,) if p.conv.bias is None else (p.conv.weight, p.conv.bias)
-    fused = not p.bn.training and not recording(x, *conv, p.bn.gamma, p.bn.beta)
+    if order != "relu_bn":
+        raise ConfigError(f"conv_order must be 'relu_bn', got {order!r}")
+    fused = not p.bn.training and not recording(x, p.conv.weight, p.conv.bias, p.bn.gamma, p.bn.beta)
     if fused:
         h = conv3d_pool(x, p.conv, np.where(p.bn.gamma.data < 0, -1.0, 1.0))
     else:
         h = conv3d(x, p.conv)
-    if order == "relu_bn":
-        h = batchnorm3d(relu(h), p.bn)
-    else:
-        h = relu(batchnorm3d(h, p.bn))
+    h = batchnorm3d(relu(h), p.bn)
     return h if fused else maxpool3d(h)
 
 
@@ -295,11 +296,11 @@ def _build_spt_part(store: ParamStore, prefix: str, part: S.SptPartConfig) -> S.
     )
 
 
-def _build_cnn_block(store: ParamStore, prefix: str, c_in: int, c_out: int, bias: bool = True) -> CnnBlockParams:
+def _build_cnn_block(store: ParamStore, prefix: str, c_in: int, c_out: int) -> CnnBlockParams:
     return CnnBlockParams(
         conv=Conv3dParams(
             weight=store.he_conv(f"{prefix}.conv.weight", c_out, c_in),
-            bias=store.zeros(f"{prefix}.conv.bias", c_out) if bias else None,
+            bias=store.zeros(f"{prefix}.conv.bias", c_out),
         ),
         bn=BatchNorm3dState(
             gamma=store.ones(f"{prefix}.bn.gamma", c_out),
@@ -324,7 +325,6 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
     shape = tuple(cfg.input_shape)
     channels = 1
     blocks = []
-    bias = cfg.conv_order == "relu_bn"  # under bn_relu, BatchNorm's mean subtraction cancels a conv bias
     for i in range(cfg.num_blocks):
         prefix = f"blocks.{i}"
         llb = None
@@ -334,8 +334,8 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
         if cfg.ablation != "no_cnn":
             c1, c2 = cfg.llb_channels[i]
             llb = (
-                _build_cnn_block(store, f"{prefix}.llb.cb0", channels, c1, bias),
-                _build_cnn_block(store, f"{prefix}.llb.cb1", c1, c2, bias),
+                _build_cnn_block(store, f"{prefix}.llb.cb0", channels, c1),
+                _build_cnn_block(store, f"{prefix}.llb.cb1", c1, c2),
             )
             out_channels += c2
         if cfg.ablation != "no_transformer":

@@ -19,6 +19,10 @@ def q():
     return T.Tensor(np.ones((1, 4, 4)))
 
 
+def cnn_block():
+    return M._build_cnn_block(M.ParamStore(np.random.default_rng(0), np.float64), "cb", 1, 2)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -34,6 +38,8 @@ def q():
         pytest.param(lambda: L.scaled_dot_attention(q(), q(), q(), 2.0), DimensionError, id="attention-float-heads"),
         pytest.param(lambda: T.Tensor(np.array([1j])), DomainError, id="tensor-complex"),
         pytest.param(lambda: T.Tensor(np.ones(3), dtype=np.int32), ConfigError, id="tensor-int-dtype"),
+        pytest.param(lambda: M.cnn_block(T.Tensor(np.ones((1, 1, 4, 4, 4))), cnn_block(), "bn_relu"), ConfigError,
+                     id="cnn-block-bn-relu"),
     ],
 )
 def test_bad_input_raises_its_taxonomy_class(call, error):
