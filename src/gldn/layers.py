@@ -37,7 +37,8 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, apply_op, check_finite, matmul, recording, reshape
+from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, apply_op, check_finite, is_integer, matmul
+from .tensor import recording, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -135,9 +136,9 @@ def _conv_operands(x: Tensor, p: Conv3dParams) -> tuple[np.ndarray, np.ndarray, 
     if x.ndim != 5:
         raise DimensionError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
     B, c_in, D, H, W = x.shape
-    c_out, c_in_w, kd, kh, kw = p.weight.shape
-    if (kd, kh, kw) != (3, 3, 3):
-        raise DimensionError(f"conv3d kernel must be 3x3x3, got {(kd, kh, kw)}")
+    if p.weight.shape[2:] != (3, 3, 3):
+        raise DimensionError(f"conv3d kernel must be [C_out, C_in, 3, 3, 3], got {p.weight.shape}")
+    c_out, c_in_w = p.weight.shape[:2]
     if c_in != c_in_w:
         raise DimensionError(f"conv3d channel mismatch: input has {c_in}, weight expects {c_in_w}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
@@ -169,7 +170,7 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     need_dx = x.requires_grad  # no dX for a constant input
     out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
     for d0, d1 in slabs:
-        np.add(_conv_slab(wm, xp, d0, d1), p.bias.data.reshape(1, -1, 1, 1, 1), out=out_data[:, :, d0:d1])
+        _fit(np.add, _conv_slab(wm, xp, d0, d1), p.bias.data.reshape(1, -1, 1, 1, 1), out_data[:, :, d0:d1])
 
     def bwd(g):
         dw = np.zeros_like(wm)
@@ -199,7 +200,7 @@ def conv3d_pool(x: Tensor, p: Conv3dParams, sign: np.ndarray) -> Tensor:
     xp, wm, unit = _conv_operands(x, p)
     sign = np.asarray(sign, wm.dtype).reshape(-1, 1, 1, 1)  # per channel of [B, C_out, D, H, W]
     wm = wm * sign.reshape(-1, 1)
-    bias = p.bias.data.reshape(-1, 1, 1, 1) * sign
+    bias = _fit(np.multiply, p.bias.data.reshape(-1, 1, 1, 1), sign)
     conv_shape = (x.shape[0], len(wm), *x.shape[2:])
     out = np.empty(_pooled_shape(conv_shape), x.dtype)
     for h0, h1 in _chunks(out.shape[2], 2 * unit):  # pooled depth ranges
@@ -337,12 +338,11 @@ def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
     n = B * D * H * W
     if s.training and n < 2:
         raise DimensionError("batchnorm3d train mode needs >= 2 elements per channel")
-    stats = None if s.training else (
-        s.running_mean.reshape(1, C, 1, 1, 1), s.running_var.reshape(1, C, 1, 1, 1)
-    )
+    # shaped in both modes, so statistics of the wrong length raise before train mode updates them
+    stats = tuple(_fit(np.reshape, a, (1, C, 1, 1, 1)) for a in (s.running_mean, s.running_var))
     gamma = reshape(s.gamma, (1, C, 1, 1, 1))
     beta = reshape(s.beta, (1, C, 1, 1, 1))
-    out, (mean, var) = normalize(x, gamma, beta, (0, 2, 3, 4), stats)
+    out, (mean, var) = normalize(x, gamma, beta, (0, 2, 3, 4), None if s.training else stats)
     if s.training:
         # detached running-stat update (single writer: the training loop)
         s.running_mean += MOMENTUM * (mean.reshape(C) - s.running_mean)
@@ -362,12 +362,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted; rows sum to 1. The rule reads only y."""
-    y = x.data - x.data.max(axis=-1, keepdims=True)  # a fresh buffer, so every later step runs in place
+    (axis,) = _normalize_axes(-1, x.shape)
+    y = x.data - x.data.max(axis=axis, keepdims=True)  # a fresh buffer, so every later step runs in place
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        dx = g - (g * y).sum(axis=-1, keepdims=True)
+        dx = g - (g * y).sum(axis=axis, keepdims=True)
         dx *= y
         return (dx,)
 
@@ -463,7 +464,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             f"attention needs equal [*, n, d] operands, got {q.shape}, {k.shape}, {v.shape}"
         )
     shape, (n, d) = q.shape, q.shape[-2:]
-    if not isinstance(heads, (int, np.integer)) or heads < 1 or d % heads:
+    if not is_integer(heads) or heads < 1 or d % heads:
         raise DimensionError(f"attention width {d} does not split into {heads} heads")
     d_k = d // heads
 

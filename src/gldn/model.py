@@ -32,7 +32,7 @@ from .layers import (
     relu,
     softmax,
 )
-from .tensor import Tensor, all_finite, concat, float_dtype, recording
+from .tensor import Tensor, all_finite, concat, float_dtype, is_integer, recording
 
 N_BINS = 84
 
@@ -43,11 +43,6 @@ CKPT_VERSION = 1
 # -- configuration -----------------------------------------------------------------
 
 TUPLE_FIELDS = ("input_shape", "llb_channels", "glb_channels", "patch", "embed_dim", "depth", "heads")
-
-
-def _integer(v) -> bool:
-    """A Python or numpy integer; a bool is not one here."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -86,7 +81,7 @@ class ModelConfig:
             values = getattr(self, name)
             if name == "llb_channels":
                 values = [c for pair in values for c in pair]
-            if not all(_integer(v) and v > 0 for v in values):
+            if not all(is_integer(v) and v > 0 for v in values):
                 raise ConfigError(f"{name} must hold positive integers, got {getattr(self, name)}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
             raise ConfigError(f"unknown ablation {self.ablation!r}")
@@ -185,11 +180,6 @@ def cnn_block(x: Tensor, p: CnnBlockParams, order: str) -> Tensor:
     return h if fused else maxpool3d(h)
 
 
-def llb_forward(x: Tensor, blocks, order: str) -> Tensor:
-    """Two CNN blocks: spatial extents fall to exactly 1/4 per axis."""
-    return cnn_block(cnn_block(x, blocks[0], order), blocks[1], order)
-
-
 def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
     """Channel concatenation, local stream first; ablated streams pass None."""
     if local is None and global_ is None:
@@ -199,12 +189,6 @@ def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
     if global_ is None:
         return local
     return concat([local, global_], axis=1)
-
-
-def fusion_block_forward(x: Tensor, block: FusionBlock, order: str) -> Tensor:
-    local = llb_forward(x, block.llb, order) if block.llb is not None else None
-    global_ = S.spt_forward(x, block.glb_cfg, block.glb) if block.glb_cfg is not None else None
-    return aggregate(local, global_)
 
 
 def head_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -226,6 +210,10 @@ class GLDN:
     # -- forward --
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        """Each fusion block runs its CNN blocks (the LLB) and its SPT (the GLB) on the same
+        input and concatenates their channels; then the head. `training` sets every BatchNorm's mode."""
+        if not (isinstance(training, (bool, np.bool_)) or is_integer(training)) or training not in (0, 1):
+            raise ConfigError(f"training must be True or False, got {training!r}")
         if not isinstance(x, Tensor):
             raise DomainError(f"model input must be a Tensor, got {type(x).__name__}")
         if x.ndim != 5 or x.shape[1:] != (1, *self.cfg.input_shape):
@@ -235,9 +223,11 @@ class GLDN:
         if x.dtype != self.store.dtype:
             raise DomainError(f"model computes in {self.store.dtype.name}, got {x.dtype.name} input")
         for block in self.blocks:
+            local = None if block.llb is None else x
             for cb in block.llb or ():
-                cb.bn.training = training
-            x = fusion_block_forward(x, block, self.cfg.conv_order)
+                cb.bn.training = bool(training)
+                local = cnn_block(local, cb, self.cfg.conv_order)
+            x = aggregate(local, None if block.glb_cfg is None else S.spt_forward(x, block.glb_cfg, block.glb))
         return head_forward(x, self.head_w, self.head_b)
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
@@ -319,7 +309,7 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> GLDN:
     """
     cfg.validate()
     float_dtype(dtype)
-    if not _integer(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     store = ParamStore(np.random.default_rng(seed), dtype)
     shape = tuple(cfg.input_shape)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .layers import EncoderLayerParams, linear, layer_norm, transformer_encoder_layer
-from .tensor import Tensor, permute_axes, reshape
+from .tensor import Tensor, is_integer, permute_axes, reshape
 
 VIEW_NAMES = {0: "sagittal", 1: "axial", 2: "coronal"}
 
@@ -99,7 +99,10 @@ def plan_spt(
     `out_channels` applies to every part (each part re-encodes the volume);
     the last part's value is the stage's output channel count.
     """
-    if heads < 1 or embed_dim % heads != 0:
+    counts = (in_channels, patch, embed_dim, depth, heads, out_channels)
+    if not all(is_integer(v) and v > 0 for v in counts):
+        raise ConfigError(f"SPT counts (in, patch, embed_dim, depth, heads, out) {counts} must be integers > 0")
+    if embed_dim % heads != 0:
         raise ConfigError(f"embed dim {embed_dim} not divisible by {heads} heads")
     dims = list(shape)
     channels = in_channels

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -40,6 +39,11 @@ def float_dtype(dtype) -> np.dtype:
     if not ok:
         raise ConfigError(f"tensors compute in float32 or float64, got dtype {dtype!r}")
     return np.dtype(dtype)
+
+
+def is_integer(v) -> bool:
+    """A Python or numpy integer, never a bool (numpy itself refuses `sum(axis=True)`)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -322,10 +326,10 @@ def sqrt(a: Tensor) -> Tensor:
 def _ints(values, what: str) -> tuple[int, ...]:
     """`values`, an integer or a sequence of them, as a tuple of Python ints; anything else raises
     DimensionError naming `what` (an axis, a shape, a permutation)."""
-    try:
-        return tuple(map(operator.index, (values,) if isinstance(values, (int, np.integer)) else values))
-    except TypeError:
-        raise DimensionError(f"{what} {values!r} is not an integer or a sequence of them") from None
+    items = (values,) if is_integer(values) or not np.iterable(values) else tuple(values)
+    if not all(map(is_integer, items)):
+        raise DimensionError(f"{what} {values!r} is not an integer or a sequence of them")
+    return tuple(map(int, items))
 
 
 def _normalize_axes(axis, shape):
@@ -508,8 +512,8 @@ def grad_check(f, inputs, tol: float = 1e-4, sample: int | None = None) -> list[
     not amplify finite-difference noise. With `sample`, at most that many
     entries per input are probed (seeded choice) — full check otherwise.
     """
-    if sample is not None and sample < 1:
-        raise ConfigError(f"grad_check sample must be at least 1, got {sample}")
+    if sample is not None and not (is_integer(sample) and sample >= 1):
+        raise ConfigError(f"grad_check sample must be an integer of at least 1, got {sample!r}")
     for t in inputs:
         if t.data.dtype != np.float64:
             raise ConfigError("grad_check requires float64 inputs")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gldn import layers as L, model as M
+from gldn import layers as L, model as M, spt as S
 from gldn.errors import ConfigError, DimensionError, DomainError, FormatError, NumericsError
 from gldn.tensor import Tensor, apply_op, backward, grad_check, no_grad
 
@@ -40,6 +40,18 @@ def tiny_config(**overrides):
 def rand_input(shape, batch=1, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     return Tensor(rng.normal(size=(batch, 1) + tuple(shape)).astype(dtype))
+
+
+def llb(x, blocks):
+    """The local learning block: its two CNN blocks, chained."""
+    return M.cnn_block(M.cnn_block(x, blocks[0], "relu_bn"), blocks[1], "relu_bn")
+
+
+def fusion_block(x, block):
+    """One fusion block from its parts, as the paper draws it: LLB and GLB on the same input, then aggregate."""
+    local = None if block.llb is None else llb(x, block.llb)
+    glob = None if block.glb_cfg is None else S.spt_forward(x, block.glb_cfg, block.glb)
+    return M.aggregate(local, glob)
 
 
 def test_runtime_needs_only_numpy():
@@ -201,17 +213,17 @@ class TestLlb:
         return blocks
 
     def test_full_scale_first_block(self):
-        out = M.llb_forward(rand_input((96, 112, 96)), self.build_llb(1, 16, 32), "relu_bn")
+        out = llb(rand_input((96, 112, 96)), self.build_llb(1, 16, 32))
         assert out.shape == (1, 32, 24, 28, 24)
 
     def test_full_scale_second_block(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(1, 40, 24, 28, 24)).astype(np.float32))
-        out = M.llb_forward(x, self.build_llb(40, 64, 128), "relu_bn")
+        out = llb(x, self.build_llb(40, 64, 128))
         assert out.shape == (1, 128, 6, 7, 6)
 
     def test_desk_scale(self):
-        out = M.llb_forward(rand_input((32, 48, 32)), self.build_llb(1, 16, 32), "relu_bn")
+        out = llb(rand_input((32, 48, 32)), self.build_llb(1, 16, 32))
         assert out.shape == (1, 32, 8, 12, 8)
 
 
@@ -267,9 +279,9 @@ class TestBuildModel:
         model = M.build_model(FULL, seed=0)
         x = rand_input((96, 112, 96), batch=1, seed=1)
         # fusion block 1 alone: the channel-40 stage
-        mid = M.fusion_block_forward(x, model.blocks[0], "relu_bn")
+        mid = fusion_block(x, model.blocks[0])
         assert mid.shape == (1, 40, 24, 28, 24)
-        mid2 = M.fusion_block_forward(mid, model.blocks[1], "relu_bn")
+        mid2 = fusion_block(mid, model.blocks[1])
         assert mid2.shape == (1, 160, 6, 7, 6)
         out = model.forward(x)
         assert out.shape == (1, 84)
@@ -399,6 +411,24 @@ class TestBuildModel:
         assert all(bn.training for bn in bns)
         model.forward(x, training=False)
         assert not any(bn.training for bn in bns)
+
+    @pytest.mark.parametrize("ablation", ["full", "no_cnn", "no_transformer"])
+    def test_train_forward_is_the_composition_of_its_parts(self, ablation):
+        # two models from one seed: one runs model(x), the other the parts in the paper's order
+        two_blocks = dict(llb_channels=((2, 4), (4, 8)), glb_channels=(2, 2), patch=(2, 1), embed_dim=(8, 8))
+        cfg = tiny_config(input_shape=(16, 16, 16), depth=(1, 1), heads=(2, 2), ablation=ablation, **two_blocks)
+        whole, parts = M.build_model(cfg, seed=5), M.build_model(cfg, seed=5)
+        x = rand_input((16, 16, 16), batch=2, seed=6)
+        probs = whole(x, training=True).data
+        h = x
+        for block in parts.blocks:
+            for cb in block.llb or ():
+                cb.bn.training = True
+            h = fusion_block(h, block)
+        assert M.head_forward(h, parts.head_w, parts.head_b).data.tobytes() == probs.tobytes()
+        assert parts.store.buffers.keys() == whole.store.buffers.keys()
+        for name, buf in whole.store.buffers.items():
+            assert parts.store.buffers[name].tobytes() == buf.tobytes(), name
 
     def test_input_of_another_dtype_rejected_at_forward(self):
         # a float64 input would silently promote a float32 model's whole forward
