@@ -130,19 +130,20 @@ def _cols(xp: np.ndarray, d0: int, d1: int) -> np.ndarray:
     return cols.reshape(c_in * 27, -1)
 
 
-def _conv_operands(x: Tensor, p: Conv3dParams) -> tuple[np.ndarray, np.ndarray, int]:
-    """Check x against the kernel. Returns padded x, the [C_out, C_in*27] kernel matrix and the
-    column bytes of one output depth, the slab unit of `_chunks`."""
+def _conv_operands(x: Tensor, p: Conv3dParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Check x against the kernel and the bias. Returns padded x, the [C_out, C_in*27] kernel
+    matrix, the bias as a [C_out, 1, 1, 1] column and the column bytes of one output depth,
+    the slab unit of `_chunks`."""
     if x.ndim != 5:
         raise DimensionError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
     B, c_in, D, H, W = x.shape
-    if p.weight.shape[2:] != (3, 3, 3):
-        raise DimensionError(f"conv3d kernel must be [C_out, C_in, 3, 3, 3], got {p.weight.shape}")
-    c_out, c_in_w = p.weight.shape[:2]
-    if c_in != c_in_w:
-        raise DimensionError(f"conv3d channel mismatch: input has {c_in}, weight expects {c_in_w}")
+    if p.weight.shape != (*p.weight.shape[:1], c_in, 3, 3, 3) or p.bias.shape != p.weight.shape[:1]:
+        raise DimensionError(f"conv3d channel mismatch: with {c_in} input channels the kernel must be [C_out, "
+                             f"{c_in}, 3, 3, 3] and the bias [C_out], got {p.weight.shape} and {p.bias.shape}")
+    c_out = p.weight.shape[0]
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-    return xp, p.weight.data.reshape(c_out, c_in * 27), 27 * c_in * B * H * W * x.data.itemsize
+    wm, bias = p.weight.data.reshape(c_out, c_in * 27), p.bias.data.reshape(c_out, 1, 1, 1)
+    return xp, wm, bias, 27 * c_in * B * H * W * x.data.itemsize
 
 
 def _conv_slab(wm: np.ndarray, xp: np.ndarray, d0: int, d1: int) -> np.ndarray:
@@ -163,14 +164,14 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     of a whole volume would take 27x the input's memory; slabs hold that
     transient under _CHUNK_BYTES so it stays small next to the activations.
     """
-    xp, wm, unit = _conv_operands(x, p)
+    xp, wm, bias, unit = _conv_operands(x, p)
     B, c_in, D, H, W = x.shape
     c_out = len(wm)
     slabs = _chunks(D, unit)  # output depth ranges
     need_dx = x.requires_grad  # no dX for a constant input
     out_data = np.empty((B, c_out, D, H, W), dtype=x.data.dtype)
     for d0, d1 in slabs:
-        _fit(np.add, _conv_slab(wm, xp, d0, d1), p.bias.data.reshape(1, -1, 1, 1, 1), out_data[:, :, d0:d1])
+        np.add(_conv_slab(wm, xp, d0, d1), bias, out_data[:, :, d0:d1])
 
     def bwd(g):
         dw = np.zeros_like(wm)
@@ -197,10 +198,10 @@ def conv3d_pool(x: Tensor, p: Conv3dParams, sign: np.ndarray) -> Tensor:
     GEMM is done, so the full-resolution output is never built. Each slab is
     checked for non-finite values first, which the pool could hide. No node is recorded.
     """
-    xp, wm, unit = _conv_operands(x, p)
-    sign = np.asarray(sign, wm.dtype).reshape(-1, 1, 1, 1)  # per channel of [B, C_out, D, H, W]
+    xp, wm, bias, unit = _conv_operands(x, p)
+    sign = _fit(np.reshape, np.asarray(sign, wm.dtype), bias.shape)  # per channel of [B, C_out, D, H, W]
     wm = wm * sign.reshape(-1, 1)
-    bias = _fit(np.multiply, p.bias.data.reshape(-1, 1, 1, 1), sign)
+    bias = bias * sign
     conv_shape = (x.shape[0], len(wm), *x.shape[2:])
     out = np.empty(_pooled_shape(conv_shape), x.dtype)
     for h0, h1 in _chunks(out.shape[2], 2 * unit):  # pooled depth ranges
@@ -333,12 +334,11 @@ def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
     if x.ndim != 5:
         raise DimensionError(f"batchnorm3d expects [B,C,D,H,W], got {x.shape}")
     B, C, D, H, W = x.shape
-    if C != s.gamma.shape[0]:
-        raise DimensionError(f"batchnorm3d channel mismatch: {C} vs {s.gamma.shape[0]}")
     n = B * D * H * W
     if s.training and n < 2:
         raise DimensionError("batchnorm3d train mode needs >= 2 elements per channel")
-    # shaped in both modes, so statistics of the wrong length raise before train mode updates them
+    # the shape checks: gamma, beta and both statistics are shaped in both modes, so one of the
+    # wrong length raises before train mode updates the statistics
     stats = tuple(_fit(np.reshape, a, (1, C, 1, 1, 1)) for a in (s.running_mean, s.running_var))
     gamma = reshape(s.gamma, (1, C, 1, 1, 1))
     beta = reshape(s.beta, (1, C, 1, 1, 1))

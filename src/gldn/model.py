@@ -55,7 +55,9 @@ class ModelConfig:
     depth: tuple = (2, 2)
     heads: tuple = (4, 4)
     ablation: str = "full"  # full | no_cnn | no_transformer
-    conv_order: str = "relu_bn"  # the paper's block order, the only one built
+    # the paper's CNN block order: a constant, not a field. The benchmark's span replay
+    # (bench/spans.py `run_spans`) reads it, and it goes with that replay (ROADMAP item 3)
+    conv_order = "relu_bn"
 
     @property
     def num_blocks(self) -> int:
@@ -85,8 +87,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must hold positive integers, got {getattr(self, name)}")
         if self.ablation not in ("full", "no_cnn", "no_transformer"):
             raise ConfigError(f"unknown ablation {self.ablation!r}")
-        if self.conv_order != "relu_bn":
-            raise ConfigError(f"conv_order must be 'relu_bn', got {self.conv_order!r}")
         for extent in self.input_shape:
             if extent % (4**n) != 0:
                 raise ConfigError(
@@ -98,7 +98,8 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Flat named registry; creation order is the checkpoint record order."""
+    """Flat named registry, unique names by construction. The checkpoint records are the
+    parameters in creation order, then the buffers (BatchNorm running statistics)."""
 
     def __init__(self, rng: np.random.Generator, dtype):
         self.rng = rng
@@ -107,8 +108,6 @@ class ParamStore:
         self.buffers: dict[str, np.ndarray] = {}
 
     def _register(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ConfigError(f"duplicate parameter name {name}")
         t = Tensor(data.astype(self.dtype), requires_grad=True)
         self.params[name] = t
         return t
@@ -132,8 +131,6 @@ class ParamStore:
         return self._register(name, np.ones(n))
 
     def buffer(self, name, data: np.ndarray) -> np.ndarray:
-        if name in self.buffers:
-            raise ConfigError(f"duplicate buffer name {name}")
         arr = data.astype(self.dtype)
         self.buffers[name] = arr
         return arr

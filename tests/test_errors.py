@@ -1,9 +1,15 @@
 """Public entry points refuse bad input with the `errors.py` taxonomy, never a raw Python or numpy error."""
 
+import ast
+import dataclasses
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gldn import layers as L, model as M, spt as S, tensor as T
+from gldn import errors, layers as L, model as M, spt as S, tensor as T
 from gldn.errors import ConfigError, DimensionError, DomainError
 
 CFG = M.ModelConfig(
@@ -27,8 +33,12 @@ def x4():
     return T.Tensor(np.ones((1, 1, 4, 4, 4)))
 
 
-def conv(weight_shape=(2, 1, 3, 3, 3), bias_len=2):
-    return L.Conv3dParams(T.Tensor(np.ones(weight_shape)), T.Tensor(np.zeros(bias_len)))
+def x4d():
+    return T.Tensor(np.ones((1, 1, 4, 4)))
+
+
+def conv(weight_shape=(2, 1, 3, 3, 3), bias_len=2, requires_grad=False):
+    return L.Conv3dParams(T.Tensor(np.ones(weight_shape)), T.Tensor(np.zeros(bias_len), requires_grad=requires_grad))
 
 
 def bn(stats_len, training=False):
@@ -36,6 +46,28 @@ def bn(stats_len, training=False):
     cb.bn.running_mean, cb.bn.running_var = np.zeros(stats_len), np.ones(stats_len)
     cb.bn.training = training
     return cb.bn
+
+
+def bn_gamma(gamma_len):
+    s = cnn_block().bn
+    s.gamma = T.Tensor(np.ones(gamma_len))
+    return s
+
+
+def fused_cnn_block_gamma(gamma_len):
+    """The unrecorded eval CNN block, which reads BatchNorm's gamma for the pool's signs before BatchNorm runs."""
+    cb = cnn_block()
+    cb.bn = bn_gamma(gamma_len)
+    with T.no_grad():
+        M.cnn_block(x4(), cb, "relu_bn")
+
+
+def load_checkpoint_of_other_names():
+    """Load a checkpoint of the CNN-only model into the full model: same shapes where names meet."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        M.save_checkpoint(path, M.build_model(dataclasses.replace(CFG, ablation="no_transformer")))
+        M.load_checkpoint(path, M.build_model(CFG))
 
 
 def f64():
@@ -84,8 +116,37 @@ def f64():
         pytest.param(lambda: T.reshape(t23(), (True, 6)), DimensionError, id="reshape-bool-extent"),
         pytest.param(lambda: T.permute_axes(t23(), (True, 0)), DimensionError, id="permute-bool-axis"),
         pytest.param(lambda: T.concat([t23(), t23()], axis=True), DimensionError, id="concat-bool-axis"),
+        pytest.param(lambda: T.backward(T.tsum(L.conv3d(x4(), conv(bias_len=1, requires_grad=True)))),
+                     DimensionError, id="conv-bias-length-1"),
+        pytest.param(lambda: L.conv3d_pool(x4(), conv(bias_len=1), np.ones(2)), DimensionError,
+                     id="conv-pool-bias-length-1"),
+        pytest.param(lambda: fused_cnn_block_gamma(3), DimensionError, id="fused-cnn-block-gamma-length"),
+        pytest.param(lambda: L.conv3d(x4d(), conv()), DimensionError, id="conv-4d-input"),
+        pytest.param(lambda: L.maxpool3d(x4d()), DimensionError, id="maxpool-4d-input"),
+        pytest.param(lambda: L.batchnorm3d(x4d(), bn(2)), DimensionError, id="batchnorm-4d-input"),
+        pytest.param(lambda: L.global_avg_pool(x4d()), DimensionError, id="global-avg-pool-4d-input"),
+        pytest.param(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn_gamma(3)), DimensionError,
+                     id="batchnorm-gamma-length"),
+        pytest.param(lambda: T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2)))), DimensionError,
+                     id="matmul-1d-operand"),
+        pytest.param(lambda: M.build_model(M.ModelConfig(patch=(8,))), ConfigError, id="config-block-count"),
+        pytest.param(load_checkpoint_of_other_names, ConfigError, id="load-checkpoint-other-names"),
     ],
 )
 def test_bad_input_raises_its_taxonomy_class(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_every_raise_in_the_package_names_a_taxonomy_class():
+    taxonomy = {name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, Exception)}
+    raises = [
+        (path.name, node)
+        for path in sorted(Path(errors.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+    ]
+    # `raise X(...)` and `raise X(...) from e` name X; a bare `raise` names nothing
+    raw = [f"{name}:{node.lineno}" for name, node in raises
+           if not isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name) or exc.id not in taxonomy]
+    assert raises and not raw, f"raises outside the errors.py taxonomy: {raw}"

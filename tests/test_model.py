@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -91,8 +92,7 @@ class TestCnnBlock:
         out = M.cnn_block(rand_input((8, 8, 8), batch=2), cb, "relu_bn")
         np.testing.assert_array_equal(out.data, 0.0)
 
-    @pytest.mark.parametrize("order", ["relu_bn"])
-    def test_grad_check_small(self, order):
+    def test_grad_check_small(self):
         store = M.ParamStore(np.random.default_rng(2), np.float64)
         cb = M._build_cnn_block(store, "cb", 1, 2)
         cb.bn.training = True
@@ -104,7 +104,7 @@ class TestCnnBlock:
                 M.Conv3dParams(w, b),
                 M.BatchNorm3dState(g, beta, np.zeros(2), np.ones(2), training=True),
             )
-            return (M.cnn_block(x, p, order) * coeff).sum()
+            return (M.cnn_block(x, p, "relu_bn") * coeff).sum()
 
         tensors = [x, cb.conv.weight, cb.conv.bias, cb.bn.gamma, cb.bn.beta]
         for res in grad_check(f, tensors, tol=1e-4, sample=40):
@@ -312,15 +312,14 @@ class TestBuildModel:
         assert probs[np.float32].dtype == np.float32
         np.testing.assert_allclose(probs[np.float32], probs[np.float64], rtol=0, atol=1e-5)
 
-    @pytest.mark.parametrize("order", ["relu_bn"])
-    def test_float32_grads_match_float64_build(self, order):
+    def test_float32_grads_match_float64_build(self):
         # GEMM summation order is not fixed, so float32 grads are specified within a
         # tolerance of each grad's float64 max (measured <= 1.9e-6 here)
         x = rand_input((8, 8, 8), batch=2, seed=18, dtype=np.float64)
         coeff = np.random.default_rng(20).normal(size=(2, 84))
         grads = {}
         for dtype in (np.float32, np.float64):
-            model = M.build_model(tiny_config(conv_order=order), seed=19, dtype=dtype)
+            model = M.build_model(tiny_config(), seed=19, dtype=dtype)
             backward((model.forward(Tensor(x.data.astype(dtype)), training=True) * coeff).sum())
             grads[dtype] = {name: t.grad for name, t in model.parameters().items()}
         for name, ref in grads[np.float64].items():
@@ -373,13 +372,16 @@ class TestBuildModel:
             pytest.param({"llb_channels": (((1, 2), 3), (64, 128))}, id="nested-llb-pair"),
             pytest.param({"patch": ((8,), (2,))}, id="tuple-patches"),
             pytest.param({"glb_channels": (True, 32)}, id="bool-glb-channel"),
-            pytest.param({"conv_order": "bn_relu"}, id="bn-relu-order"),
         ],
     )
     def test_malformed_config_names_field(self, overrides):
         field = next(iter(overrides))  # the field the error must name
         with pytest.raises(ConfigError, match=field):
             M.build_model(M.ModelConfig(**overrides))
+
+    def test_conv_order_is_a_constant_not_a_field(self):
+        assert "conv_order" not in {f.name for f in dataclasses.fields(M.ModelConfig)}
+        assert M.ModelConfig().conv_order == "relu_bn"
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, "float128", None, "not-a-dtype"])
     def test_dtype_other_than_float32_or_float64_refused(self, dtype):
@@ -548,8 +550,8 @@ class TestZeroSign:
     and the eval output after one SGD step byte-identical to the model's relu.
     """
 
-    def step(self, order, dtype):
-        model = M.build_model(tiny_config(input_shape=(16, 16, 16), conv_order=order), seed=21, dtype=dtype)
+    def step(self, dtype):
+        model = M.build_model(tiny_config(input_shape=(16, 16, 16)), seed=21, dtype=dtype)
         x = rand_input((16, 16, 16), batch=2, seed=22, dtype=dtype)
         train = model.forward(x, training=True)
         backward((train * np.random.default_rng(23).normal(size=(2, 84))).sum())
@@ -563,8 +565,7 @@ class TestZeroSign:
         return arrays
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("order", ["relu_bn"])
-    def test_relu_zero_sign_never_reaches_a_result(self, monkeypatch, order, dtype):
+    def test_relu_zero_sign_never_reaches_a_result(self, monkeypatch, dtype):
         negative_zeros = []
 
         def relu_writing_negative_zeros(x):
@@ -573,9 +574,9 @@ class TestZeroSign:
             negative_zeros.append(np.signbit(out[out == 0]).any())
             return apply_op(out, (x,), lambda g: (g * mask,), check=False)
 
-        want = self.step(order, dtype)
+        want = self.step(dtype)
         monkeypatch.setattr(M, "relu", relu_writing_negative_zeros)
-        got = self.step(order, dtype)
+        got = self.step(dtype)
         assert len(negative_zeros) == 4 and all(negative_zeros)  # 2 conv blocks, train and eval
         assert got.keys() == want.keys()
         for name in want:
