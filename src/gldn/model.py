@@ -17,18 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spt as S
-from .errors import ConfigError, DimensionError, DomainError, FormatError
+from .errors import ConfigError, DimensionError, DomainError, FormatError, NumericsError
 from .layers import (
     AttentionParams,
     BatchNorm3dState,
     Conv3dParams,
     EncoderLayerParams,
     batchnorm3d,
-    conv3d,
     conv3d_pool,
+    conv_relu_bn_pool,
     global_avg_pool,
     linear,
-    maxpool3d,
     relu,
     softmax,
 )
@@ -158,23 +157,23 @@ class FusionBlock:
 def cnn_block(x: Tensor, p: CnnBlockParams, order: str) -> Tensor:
     """Conv(3, pad 1), ReLU, BatchNorm, MaxPool(2): the paper's block order.
 
-    `order` must be "relu_bn", `ModelConfig.conv_order`'s one value.
-    When nothing is recorded and BatchNorm is in eval mode, the pool runs
-    first, inside the conv's slabs (`conv3d_pool`), and relu and BatchNorm run
-    on the pooled volume, with the same values: both are then monotone per
-    channel, so the window max becomes a min where gamma < 0 (see `layers`).
-    That path checks every conv voxel for non-finite values, and BatchNorm's
-    output only at the voxels the pool keeps.
+    `order` must be "relu_bn", `ModelConfig.conv_order`'s one value. Both
+    paths pool inside the conv's slabs, so the full-resolution conv output is
+    never built; each checks every conv voxel for non-finite values, and
+    BatchNorm's output only at the voxels the pool keeps. In train mode, or
+    when the call is recorded, the block is one node (`conv_relu_bn_pool`)
+    whose backward recomputes the conv slab by slab. When nothing is recorded
+    and BatchNorm is in eval mode, the pool runs first (`conv3d_pool`), and
+    relu and BatchNorm run on the pooled volume, with the same values: both
+    are then monotone per channel, so the window max becomes a min where
+    gamma < 0 (see `layers`).
     """
     if order != "relu_bn":
         raise ConfigError(f"conv_order must be 'relu_bn', got {order!r}")
-    fused = not p.bn.training and not recording(x, p.conv.weight, p.conv.bias, p.bn.gamma, p.bn.beta)
-    if fused:
-        h = conv3d_pool(x, p.conv, np.where(p.bn.gamma.data < 0, -1.0, 1.0))
-    else:
-        h = conv3d(x, p.conv)
-    h = batchnorm3d(relu(h), p.bn)
-    return h if fused else maxpool3d(h)
+    if p.bn.training or recording(x, p.conv.weight, p.conv.bias, p.bn.gamma, p.bn.beta):
+        return conv_relu_bn_pool(x, p.conv, p.bn)
+    h = conv3d_pool(x, p.conv, np.where(p.bn.gamma.data < 0, -1.0, 1.0))
+    return batchnorm3d(relu(h), p.bn)
 
 
 def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:
@@ -350,16 +349,21 @@ def save_checkpoint(path, model: GLDN):
     """magic, version u32 LE, then {name_len u32, name, rank u32, extents u32*rank, f32 LE data}.
 
     Written to `<path>.tmp`, then renamed over `path`, so a failed write keeps the old file.
-    The records are float32, so a model of another dtype is refused before any file is opened.
+    The records are float32 and finite, so a model of another dtype, or one holding a NaN or an
+    inf, is refused before any file is opened.
     """
     if model.store.dtype != np.float32:
         raise ConfigError(f"checkpoint records are float32; a {model.store.dtype.name} model would be rounded")
+    arrays = model.state_arrays()
+    for name, arr in arrays.items():  # `read_checkpoint` refuses such a record
+        if not all_finite(arr):
+            raise NumericsError(f"non-finite values in {name}; no checkpoint is written")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CKPT_MAGIC)
             fh.write(struct.pack("<I", CKPT_VERSION))
-            write_records(fh, model.state_arrays())
+            write_records(fh, arrays)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the rename failed

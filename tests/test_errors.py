@@ -70,71 +70,83 @@ def load_checkpoint_of_other_names():
         M.load_checkpoint(path, M.build_model(CFG))
 
 
+def row(call, error, id, match=None):
+    """A case: `call` raises `error`, and its message names `match` where one is given."""
+    return pytest.param(call, error, match, id=id)
+
+
 def f64():
     return T.Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, match",
     [
-        pytest.param(
+        row(
             lambda: M.build_model(CFG).forward(np.ones((1, 1, 8, 8, 8), np.float32)), DomainError, id="forward-ndarray"
         ),
-        pytest.param(lambda: M.build_model(CFG, seed=-1), ConfigError, id="build-negative-seed"),
-        pytest.param(lambda: M.build_model(CFG, seed="a"), ConfigError, id="build-str-seed"),
-        pytest.param(lambda: T.reshape(t23(), (2.0, 3)), DimensionError, id="reshape-float-extent"),
-        pytest.param(lambda: t23().reshape("a"), DimensionError, id="method-reshape-str"),
-        pytest.param(lambda: T.permute_axes(t23(), (0, "1")), DimensionError, id="permute-str-axis"),
-        pytest.param(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, 0, 2), ConfigError, id="plan-zero-heads"),
-        pytest.param(lambda: L.scaled_dot_attention(q(), q(), q(), 2.0), DimensionError, id="attention-float-heads"),
-        pytest.param(lambda: T.Tensor(np.array([1j])), DomainError, id="tensor-complex"),
-        pytest.param(lambda: T.Tensor(np.ones(3), dtype=np.int32), ConfigError, id="tensor-int-dtype"),
-        pytest.param(lambda: M.cnn_block(T.Tensor(np.ones((1, 1, 4, 4, 4))), cnn_block(), "bn_relu"), ConfigError,
-                     id="cnn-block-bn-relu"),
-        pytest.param(lambda: L.conv3d(x4(), conv(bias_len=3)), DimensionError, id="conv-bias-length"),
-        pytest.param(lambda: L.conv3d_pool(x4(), conv(bias_len=3), np.ones(2)), DimensionError,
-                     id="conv-pool-bias-length"),
-        pytest.param(lambda: L.conv3d(x4(), conv(weight_shape=(2, 1, 3, 3))), DimensionError, id="conv-4d-kernel"),
-        pytest.param(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn(3)), DimensionError,
-                     id="batchnorm-running-stats-length"),
-        pytest.param(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn(3, training=True)), DimensionError,
-                     id="batchnorm-train-running-stats-length"),
-        pytest.param(lambda: L.softmax(T.Tensor(np.float64(1.0))), DimensionError, id="softmax-0d"),
-        pytest.param(
+        row(lambda: M.build_model(CFG, seed=-1), ConfigError, id="build-negative-seed"),
+        row(lambda: M.build_model(CFG, seed="a"), ConfigError, id="build-str-seed"),
+        row(lambda: T.reshape(t23(), (2.0, 3)), DimensionError, id="reshape-float-extent"),
+        row(lambda: t23().reshape("a"), DimensionError, id="method-reshape-str"),
+        row(lambda: T.permute_axes(t23(), (0, "1")), DimensionError, id="permute-str-axis"),
+        row(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, 0, 2), ConfigError, id="plan-zero-heads"),
+        row(lambda: L.scaled_dot_attention(q(), q(), q(), 2.0), DimensionError, id="attention-float-heads"),
+        row(lambda: T.Tensor(np.array([1j])), DomainError, id="tensor-complex"),
+        row(lambda: T.Tensor(np.ones(3), dtype=np.int32), ConfigError, id="tensor-int-dtype"),
+        row(lambda: M.cnn_block(T.Tensor(np.ones((1, 1, 4, 4, 4))), cnn_block(), "bn_relu"), ConfigError,
+            id="cnn-block-bn-relu"),
+        row(lambda: L.conv3d(x4(), conv(bias_len=3)), DimensionError, id="conv-bias-length"),
+        row(lambda: L.conv3d_pool(x4(), conv(bias_len=3), np.ones(2)), DimensionError,
+            id="conv-pool-bias-length"),
+        row(lambda: L.conv3d(x4(), conv(weight_shape=(2, 1, 3, 3))), DimensionError, id="conv-4d-kernel"),
+        row(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn(3)), DimensionError,
+            id="batchnorm-running-stats-length", match="batchnorm3d running_mean"),
+        row(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn(3, training=True)), DimensionError,
+            id="batchnorm-train-running-stats-length"),
+        row(lambda: L.softmax(T.Tensor(np.float64(1.0))), DimensionError, id="softmax-0d"),
+        row(
             lambda: M.build_model(CFG).forward(T.Tensor(np.ones((1, 1, 8, 8, 8), np.float32)), training="eval"),
             ConfigError,
             id="forward-str-training",
         ),
-        pytest.param(lambda: L.scaled_dot_attention(q(), q(), q(), True), DimensionError, id="attention-bool-heads"),
-        pytest.param(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, True, 2), ConfigError, id="plan-bool-heads"),
-        pytest.param(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, 2.0, 2), ConfigError, id="plan-float-heads"),
-        pytest.param(lambda: S.plan_spt((16, 16, 16), 1, 2, 0, 1, 2, 2), ConfigError, id="plan-zero-embed-dim"),
-        pytest.param(lambda: S.plan_spt((16, 16, 16), 1, 2.5, 8, 1, 2, 2), ConfigError, id="plan-float-patch"),
-        pytest.param(lambda: T.grad_check(T.tsum, [f64()], sample=2.5), ConfigError, id="grad-check-float-sample"),
-        pytest.param(lambda: T.grad_check(T.tsum, [f64()], sample=True), ConfigError, id="grad-check-bool-sample"),
-        pytest.param(lambda: T.tsum(t23(), axis=True), DimensionError, id="tsum-bool-axis"),
-        pytest.param(lambda: T.reshape(t23(), (True, 6)), DimensionError, id="reshape-bool-extent"),
-        pytest.param(lambda: T.permute_axes(t23(), (True, 0)), DimensionError, id="permute-bool-axis"),
-        pytest.param(lambda: T.concat([t23(), t23()], axis=True), DimensionError, id="concat-bool-axis"),
-        pytest.param(lambda: T.backward(T.tsum(L.conv3d(x4(), conv(bias_len=1, requires_grad=True)))),
-                     DimensionError, id="conv-bias-length-1"),
-        pytest.param(lambda: L.conv3d_pool(x4(), conv(bias_len=1), np.ones(2)), DimensionError,
-                     id="conv-pool-bias-length-1"),
-        pytest.param(lambda: fused_cnn_block_gamma(3), DimensionError, id="fused-cnn-block-gamma-length"),
-        pytest.param(lambda: L.conv3d(x4d(), conv()), DimensionError, id="conv-4d-input"),
-        pytest.param(lambda: L.maxpool3d(x4d()), DimensionError, id="maxpool-4d-input"),
-        pytest.param(lambda: L.batchnorm3d(x4d(), bn(2)), DimensionError, id="batchnorm-4d-input"),
-        pytest.param(lambda: L.global_avg_pool(x4d()), DimensionError, id="global-avg-pool-4d-input"),
-        pytest.param(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn_gamma(3)), DimensionError,
-                     id="batchnorm-gamma-length"),
-        pytest.param(lambda: T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2)))), DimensionError,
-                     id="matmul-1d-operand"),
-        pytest.param(lambda: M.build_model(M.ModelConfig(patch=(8,))), ConfigError, id="config-block-count"),
-        pytest.param(load_checkpoint_of_other_names, ConfigError, id="load-checkpoint-other-names"),
+        row(lambda: L.scaled_dot_attention(q(), q(), q(), True), DimensionError, id="attention-bool-heads"),
+        row(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, True, 2), ConfigError, id="plan-bool-heads"),
+        row(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, 2.0, 2), ConfigError, id="plan-float-heads"),
+        row(lambda: S.plan_spt((16, 16, 16), 1, 2, 0, 1, 2, 2), ConfigError, id="plan-zero-embed-dim"),
+        row(lambda: S.plan_spt((16, 16, 16), 1, 2.5, 8, 1, 2, 2), ConfigError, id="plan-float-patch"),
+        row(lambda: T.grad_check(T.tsum, [f64()], sample=2.5), ConfigError, id="grad-check-float-sample"),
+        row(lambda: T.grad_check(T.tsum, [f64()], sample=True), ConfigError, id="grad-check-bool-sample"),
+        row(lambda: T.tsum(t23(), axis=True), DimensionError, id="tsum-bool-axis"),
+        row(lambda: T.reshape(t23(), (True, 6)), DimensionError, id="reshape-bool-extent"),
+        row(lambda: T.permute_axes(t23(), (True, 0)), DimensionError, id="permute-bool-axis"),
+        row(lambda: T.concat([t23(), t23()], axis=True), DimensionError, id="concat-bool-axis"),
+        row(lambda: T.backward(T.tsum(L.conv3d(x4(), conv(bias_len=1, requires_grad=True)))),
+            DimensionError, id="conv-bias-length-1"),
+        row(lambda: L.conv3d_pool(x4(), conv(bias_len=1), np.ones(2)), DimensionError,
+            id="conv-pool-bias-length-1"),
+        row(lambda: fused_cnn_block_gamma(3), DimensionError, id="fused-cnn-block-gamma-length",
+            match="conv3d_pool sign"),
+        row(lambda: L.conv3d(x4d(), conv()), DimensionError, id="conv-4d-input"),
+        row(lambda: L.maxpool3d(x4d()), DimensionError, id="maxpool-4d-input"),
+        row(lambda: L.batchnorm3d(x4d(), bn(2)), DimensionError, id="batchnorm-4d-input"),
+        row(lambda: L.global_avg_pool(x4d()), DimensionError, id="global-avg-pool-4d-input"),
+        row(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn_gamma(3)), DimensionError,
+            id="batchnorm-gamma-length", match="batchnorm3d gamma"),
+        row(lambda: L.conv_relu_bn_pool(x4(), conv(bias_len=3), bn(2)), DimensionError,
+            id="conv-relu-bn-pool-bias-length", match="bias"),
+        row(lambda: L.conv_relu_bn_pool(x4(), conv(), bn_gamma(3)), DimensionError,
+            id="conv-relu-bn-pool-gamma-length", match="conv_relu_bn_pool gamma"),
+        row(lambda: L.conv_relu_bn_pool(x4(), conv(), bn(3, training=True)), DimensionError,
+            id="conv-relu-bn-pool-running-stats-length", match="conv_relu_bn_pool running_mean"),
+        row(lambda: T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2)))), DimensionError,
+            id="matmul-1d-operand"),
+        row(lambda: M.build_model(M.ModelConfig(patch=(8,))), ConfigError, id="config-block-count"),
+        row(load_checkpoint_of_other_names, ConfigError, id="load-checkpoint-other-names"),
     ],
 )
-def test_bad_input_raises_its_taxonomy_class(call, error):
-    with pytest.raises(error):
+def test_bad_input_raises_its_taxonomy_class(call, error, match):
+    with pytest.raises(error, match=match):
         call()
 
 

@@ -14,7 +14,7 @@ from scipy.special import erf
 
 from gldn import layers as L
 from gldn import tensor as T
-from gldn.errors import DimensionError
+from gldn.errors import DimensionError, NumericsError
 from gldn.tensor import Tensor, backward, grad_check
 
 
@@ -383,6 +383,127 @@ class TestBatchNorm3d:
         rng2 = np.random.default_rng(5).normal(size=(2, 2, 2, 2, 2))
         for res in grad_check(f, [x, s.gamma, s.beta], tol=1e-4):
             assert res.passed, res
+
+
+def cnn_block_case(rng, dtype, training, shape=(2, 2, 6, 4, 6), c_out=4):
+    """x and one CNN block's parameters: gamma < 0 on channels 0 and 2, where the pool keeps each window's
+    smallest relu and most windows tie at 0, and a bias of -3 on channel 1, where most windows are all 0."""
+    c_in = shape[1]
+    x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    conv = L.Conv3dParams(
+        Tensor(rng.normal(scale=0.3, size=(c_out, c_in, 3, 3, 3)).astype(dtype), requires_grad=True),
+        Tensor(rng.normal(scale=0.2, size=c_out).astype(dtype), requires_grad=True),
+    )
+    conv.bias.data[1] = -3.0
+    gamma = rng.uniform(0.5, 2.0, c_out) * np.where(np.arange(c_out) % 2, 1, -1)
+    bn = L.BatchNorm3dState(
+        gamma=Tensor(gamma.astype(dtype), requires_grad=True),
+        beta=Tensor(rng.normal(size=c_out).astype(dtype), requires_grad=True),
+        running_mean=rng.normal(size=c_out).astype(dtype),
+        running_var=rng.uniform(0.5, 2.0, c_out).astype(dtype),
+        training=training,
+    )
+    return x, conv, bn
+
+
+def cnn_block_composed(x, conv, bn):
+    """The CNN block as four tape nodes (reference)."""
+    return L.maxpool3d(L.batchnorm3d(L.relu(L.conv3d(x, conv)), bn))
+
+
+class TestConvReluBnPool:
+    """The one-node CNN block against the composed `conv3d`, `relu`, `batchnorm3d` and `maxpool3d`."""
+
+    def one_pooled_depth_per_slab(self, monkeypatch, x):
+        B, c_in, _, H, W = x.shape
+        monkeypatch.setattr(L, "_CHUNK_BYTES", 2 * 27 * c_in * B * H * W * x.data.itemsize)
+
+    def assert_ties_at_zero(self, x, conv):
+        windows = np.stack(L._windows(L.relu(L.conv3d(x, conv)).data))  # [8, B, C, D/2, H/2, W/2]
+        zeros = (windows == 0).sum(axis=0)
+        assert (zeros[:, 1] == 8).mean() > 0.3  # channel 1: windows of relu zeros only
+        assert (zeros[:, 0] >= 2).mean() > 0.3  # gamma < 0: the kept minimum is a tie at 0
+
+    @pytest.mark.parametrize("slabs", [1, 3])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_composed_block(self, monkeypatch, dtype, training, slabs):
+        if slabs == 3:
+            self.one_pooled_depth_per_slab(monkeypatch, cnn_block_case(np.random.default_rng(71), dtype, training)[0])
+        results, forward_slabs = [], []
+        for block in (L.conv_relu_bn_pool, cnn_block_composed):
+            x, conv, bn = cnn_block_case(np.random.default_rng(71), dtype, training)
+            self.assert_ties_at_zero(x, conv)
+            with monkeypatch.context() as m:
+                m.setattr(L, "_conv_slab", lambda *a, f=L._conv_slab: forward_slabs.append(block) or f(*a))
+                out = block(x, conv, bn)
+            coeff = np.random.default_rng(72).normal(size=out.shape)
+            backward((out * coeff).sum())
+            leaves = (x, conv.weight, conv.bias, bn.gamma, bn.beta)
+            results.append([out.data, *(t.grad for t in leaves), bn.running_mean, bn.running_var])
+        assert forward_slabs.count(L.conv_relu_bn_pool) == slabs
+        (node, *node_rest), (ref, *ref_rest) = results
+        if not training:  # constant statistics: pooling first is exact
+            np.testing.assert_array_equal(node, ref)
+        tol = 1e-12 if dtype == np.float64 else 2e-6  # float32: float64 statistics against numpy's float32 ones
+        for name, a, want in zip(("out", "dx", "dw", "db", "dgamma", "dbeta", "mean", "var"), [node, *node_rest],
+                                 [ref, *ref_rest]):
+            assert a.dtype == dtype and a.shape == want.shape, name
+            assert np.abs(a - want).max() <= tol * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_grad_check_across_slabs(self, monkeypatch, training):
+        rng = np.random.default_rng(73)
+        x, conv, bn = cnn_block_case(rng, np.float64, training)
+        self.assert_ties_at_zero(x, conv)
+        self.one_pooled_depth_per_slab(monkeypatch, x)
+        coeff = rng.normal(size=(2, 4, 3, 2, 3))
+
+        def f(x, w, b, gamma, beta):
+            s = L.BatchNorm3dState(gamma, beta, bn.running_mean, bn.running_var, training)
+            return (L.conv_relu_bn_pool(x, L.Conv3dParams(w, b), s) * coeff).sum()
+
+        for res in grad_check(f, [x, conv.weight, conv.bias, bn.gamma, bn.beta], tol=1e-6):
+            assert res.passed, res
+
+    def test_repeated_backward_accumulates(self):
+        x, conv, bn = cnn_block_case(np.random.default_rng(74), np.float64, True)
+        out = L.conv_relu_bn_pool(x, conv, bn)
+        loss = (out * np.random.default_rng(75).normal(size=out.shape)).sum()
+        leaves = (x, conv.weight, conv.bias, bn.gamma, bn.beta)
+        backward(loss)
+        once = [t.grad.copy() for t in leaves]
+        backward(loss)
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+
+    def overflow_case(self, big):
+        """A one-channel block whose conv output is `big` at one voxel in eight (each window's first) and 1
+        elsewhere: the centre tap alone and a zero bias."""
+        x = np.ones((1, 1, 4, 4, 4), np.float32)
+        x[:, :, ::2, ::2, ::2] = big
+        w = np.zeros((1, 1, 3, 3, 3), np.float32)
+        w[0, 0, 1, 1, 1] = 1.0
+        conv = L.Conv3dParams(Tensor(w, requires_grad=True), Tensor(np.zeros(1, np.float32), requires_grad=True))
+        one, zero = np.ones(1, np.float32), np.zeros(1, np.float32)
+        bn = L.BatchNorm3dState(Tensor(one, requires_grad=True), Tensor(zero, requires_grad=True), zero.copy(),
+                                one.copy(), training=True)
+        return Tensor(x), conv, bn
+
+    def test_non_finite_batch_statistics_raise_before_the_running_ones_change(self):
+        # 3e19: float32 holds the variance (9.8e37) but not the squares, so float32 statistics overflow
+        x, conv, bn = self.overflow_case(3e19)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="statistics in forward op normalize"):
+            cnn_block_composed(x, conv, bn)
+        assert (bn.running_mean, bn.running_var) == (0, 1)
+        out = L.conv_relu_bn_pool(x, conv, bn)  # float64 statistics
+        xhat = (3e19 - 3.75e18) / np.sqrt((8 * 3e19**2 + 56) / 64 - 3.75e18**2)  # every window keeps 3e19
+        np.testing.assert_allclose(out.data, xhat, rtol=1e-6)
+        # 1e20: the variance itself (1.1e39) is past float32's 3.4e38
+        x, conv, bn = self.overflow_case(1e20)
+        with pytest.raises(NumericsError, match="statistics in forward op conv_relu_bn_pool"):
+            L.conv_relu_bn_pool(x, conv, bn)
+        assert (bn.running_mean, bn.running_var) == (0, 1)
 
 
 def batchnorm_composite(x, s):

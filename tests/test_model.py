@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gldn import layers as L, model as M, spt as S
 from gldn.errors import ConfigError, DimensionError, DomainError, FormatError, NumericsError
-from gldn.tensor import Tensor, apply_op, backward, grad_check, no_grad
+from gldn.tensor import Tensor, backward, grad_check, no_grad
 
 FULL = M.ModelConfig(input_shape=(96, 112, 96))
 DESK = M.ModelConfig(input_shape=(32, 48, 32))
@@ -143,11 +143,10 @@ class TestFusedEval:
         cb = self.block(dtype, 3, 5, gammas)
         if pairs is not None:  # a depth's columns take 27 * C_in * B * H * W elements
             monkeypatch.setattr(L, "_CHUNK_BYTES", pairs * 2 * 27 * 3 * 2 * 6 * 4 * x.data.itemsize)
-        recorded = M.cnn_block(x, cb, order)  # the parameters require grad
+        recorded = M.cnn_block(x, cb, order)  # the parameters require grad: the one-node block
         assert recorded.requires_grad
-        with no_grad(), monkeypatch.context() as m:
-            m.setattr(M, "maxpool3d", None)  # the fused path never pools a full-resolution volume
-            fused = M.cnn_block(x, cb, order)
+        with no_grad():
+            fused = M.cnn_block(x, cb, order)  # conv3d_pool, then relu and BatchNorm on the pooled volume
         assert fused.dtype == dtype and fused.shape == recorded.shape == (2, 5, 5, 3, 2)
         np.testing.assert_array_equal(fused.data, recorded.data)  # in value: the sign of a zero is unspecified
 
@@ -188,17 +187,19 @@ class TestFusedEval:
         x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 64, 64, 64)).astype(np.float32))
         conv_bytes = 32 * 64**3 * 4
         assert conv_bytes > L._CHUNK_BYTES
-        peaks = []
-        for training in (False, True):  # a train-mode BatchNorm needs the whole conv output
+        for training, record in [(False, False), (True, False), (True, True)]:
             cb.bn.training = training
             tracemalloc.start()
             try:
-                with no_grad():
-                    M.cnn_block(x, cb, "relu_bn")
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                with contextlib.nullcontext() if record else no_grad():
+                    out = M.cnn_block(x, cb, "relu_bn")
+                kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < conv_bytes < peaks[1], peaks
+            assert out.requires_grad == record
+            # unrecorded, no step holds the conv output; recorded, the node keeps no full-resolution array
+            assert (kept if record else peak) < conv_bytes, (training, record, kept, peak)
+            del out
 
 
 class TestLlb:
@@ -568,16 +569,15 @@ class TestZeroSign:
     def test_relu_zero_sign_never_reaches_a_result(self, monkeypatch, dtype):
         negative_zeros = []
 
-        def relu_writing_negative_zeros(x):
-            mask = x.data > 0
-            out = x.data * mask
+        def relu_writing_negative_zeros(a, out=None):
+            out = np.multiply(a, a > 0, out=out)
             negative_zeros.append(np.signbit(out[out == 0]).any())
-            return apply_op(out, (x,), lambda g: (g * mask,), check=False)
+            return out
 
         want = self.step(dtype)
-        monkeypatch.setattr(M, "relu", relu_writing_negative_zeros)
+        monkeypatch.setattr(L, "_relu", relu_writing_negative_zeros)  # the train node's and `relu`'s
         got = self.step(dtype)
-        assert len(negative_zeros) == 4 and all(negative_zeros)  # 2 conv blocks, train and eval
+        assert len(negative_zeros) == 4 and all(negative_zeros)  # 2 conv blocks, train and eval, one slab each
         assert got.keys() == want.keys()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
@@ -679,6 +679,14 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="float32.*float64"):
             M.save_checkpoint(path, M.build_model(tiny_config(), seed=21, dtype=np.float64))
         assert not path.exists() and not (tmp_path / "model.ckpt.tmp").exists()
+        assert os.listdir(tmp_path) == []
+
+    def test_non_finite_state_refused_before_any_file_is_opened(self, tmp_path):
+        # `read_checkpoint` refuses a non-finite record, so such a file could never be loaded
+        model = M.build_model(tiny_config(), seed=22)
+        model.blocks[0].llb[0].bn.running_var[0] = np.inf
+        with pytest.raises(NumericsError, match=r"blocks\.0\.llb\.cb0\.bn\.running_var"):
+            M.save_checkpoint(tmp_path / "model.ckpt", model)
         assert os.listdir(tmp_path) == []
 
     def test_name_past_the_end(self, tmp_path):
