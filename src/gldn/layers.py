@@ -9,12 +9,13 @@ The CNN block (conv, relu, BatchNorm, pool) pools inside the conv's slabs, so
 the full-resolution conv output is never built. That is exact: relu and
 BatchNorm are monotone maps per channel, and so is their rounding, so they
 commute with the window max, which becomes a min where BatchNorm's gamma < 0.
-An unrecorded eval block pools the conv output (`conv3d_pool`) and then runs
-relu and BatchNorm. Any other block is one node (`conv_relu_bn_pool`) that
-gathers train-mode batch statistics slab by slab and normalizes only the
-pooled voxels. It keeps no full-resolution array: its backward recomputes each
-slab's conv. `conv3d`, `relu`, `batchnorm3d` and `maxpool3d` stay as the
-composed reference, which the tests compare the node against.
+The block is one node (`conv_relu_bn_pool`) in every mode. In train mode it
+gathers the batch statistics slab by slab; in eval mode it pools first and
+takes relu of the pooled voxels alone. Either way it normalizes only the
+pooled voxels and keeps no full-resolution array: its backward recomputes each
+slab's conv. The model calls none of `conv3d`, `relu`, `batchnorm3d` and
+`maxpool3d`; they serve only as the composed reference that the tests compare
+the node against.
 
 BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
 backward; they differ only in the reduced axes and where the statistics come
@@ -206,30 +207,6 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     return apply_op(out_data, (x, p.weight, p.bias), bwd)
 
 
-def conv3d_pool(x: Tensor, p: Conv3dParams, sign: np.ndarray) -> Tensor:
-    """sign * maxpool3d(sign * conv3d(x, p)) for `sign` +-1 per output channel, as a constant.
-
-    Negation is exact, so a channel with sign -1 gets its window minimum. Each
-    slab holds an even number of output depths and is pooled as soon as its
-    GEMM is done, so the full-resolution output is never built. Each slab is
-    checked for non-finite values first, which the pool could hide. No node is recorded.
-    """
-    xp, wm, bias, unit = _conv_operands(x, p)
-    _check_per_channel(len(wm), "conv3d_pool", sign=sign)
-    sign = np.asarray(sign, wm.dtype).reshape(bias.shape)  # per channel of [B, C_out, D, H, W]
-    wm = wm * sign.reshape(-1, 1)
-    bias = bias * sign
-    conv_shape = (x.shape[0], len(wm), *x.shape[2:])
-    out = np.empty(_pooled_shape(conv_shape), x.dtype)
-    for h0, h1 in _chunks(out.shape[2], 2 * unit):  # pooled depth ranges
-        y = _conv_slab(wm, xp, 2 * h0, 2 * h1)
-        y += bias
-        check_finite(y, "conv3d", conv_shape)
-        _window_max(y, out[:, :, h0:h1])
-    out *= sign
-    return Tensor(out)
-
-
 def _relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(a, 0), into `out` if given: the one relu of the package, whose zeros may have either sign."""
     return np.maximum(a, 0, out=out)
@@ -369,21 +346,16 @@ def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
     return out
 
 
-def _check_per_channel(c: int, op: str, **arrays):
-    """Raise DimensionError naming `op` and the array unless each of `arrays` holds one entry per channel."""
-    for name, a in arrays.items():
-        if np.shape(a) != (c,):
-            raise DimensionError(f"{op} {name} must hold one entry per channel, [{c}], got shape {np.shape(a)}")
-
-
 def _batchnorm_checks(shape, s: BatchNorm3dState, op: str) -> tuple[int, int]:
     """Check BatchNorm state `s` for a [B, C, D, H, W] input of `shape`, in both modes, so a bad array
     raises before train mode updates the statistics. Returns C and the voxel count per channel."""
     C, n = shape[1], shape[0] * math.prod(shape[2:])
     if s.training and n < 2:
         raise DimensionError(f"{op} train mode needs >= 2 elements per channel")
-    _check_per_channel(C, op, gamma=s.gamma.data, beta=s.beta.data, running_mean=s.running_mean,
-                       running_var=s.running_var)
+    for name, a in (("gamma", s.gamma.data), ("beta", s.beta.data), ("running_mean", s.running_mean),
+                    ("running_var", s.running_var)):
+        if np.shape(a) != (C,):
+            raise DimensionError(f"{op} {name} must hold one entry per channel, [{C}], got shape {np.shape(a)}")
     return C, n
 
 
@@ -405,14 +377,19 @@ def _update_running(s: BatchNorm3dState, mean: np.ndarray, var: np.ndarray, n: i
 def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Tensor:
     """maxpool3d(batchnorm3d(relu(conv3d(x, conv)), bn)), the paper's CNN block, as one node.
 
-    The forward walks `conv3d_pool`'s even-depth slabs. Each slab gets its bias,
-    a non-finite check and relu. In train mode its per-channel count, mean and
-    M2 join the batch's in float64 (Chan et al. 1979). The window max of
-    sign(gamma) * relu goes into the pooled output, with its uint8 first argmax
-    when recording. BatchNorm is monotone per channel, so only the pooled voxels
-    are normalized, with `batchnorm3d`'s values; its output is checked there alone.
-    Train mode normalizes with the batch statistics and updates the running ones
-    as `batchnorm3d` does. Eval mode takes the running ones as constants.
+    The forward walks the conv in slabs of an even number of output depths and
+    pools each slab on its own, after its bias and a non-finite check. Train
+    mode takes relu of every voxel, joins the slab's per-channel count, mean and
+    M2 to the batch's in float64 (Chan et al. 1979) and pools sign(gamma) * relu.
+    Eval mode folds sign(gamma) into the kernel and the bias and takes relu of
+    the pooled voxels alone, after the window max, with which it commutes. When
+    recording, the pool keeps its uint8 first argmax; in eval mode it differs
+    from relu's only where the winning conv value is <= 0, where the relu mask
+    zeroes the gradient either way. BatchNorm is monotone per channel, so only
+    the pooled voxels are normalized, with `batchnorm3d`'s values; its output is
+    checked there alone. Train mode normalizes with the batch statistics and
+    updates the running ones as `batchnorm3d` does. Eval mode takes the running
+    ones as constants.
 
     The node keeps padded x, the argmax, the pooled x-hat and per-channel
     constants, and no full-resolution array. Backward recomputes each slab's
@@ -430,12 +407,14 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
     arg = np.empty(xhat.shape, np.uint8) if record else None
     slabs = _chunks(xhat.shape[2], 2 * unit)  # pooled depth ranges
     count, mean64, m2 = 0, np.zeros(C), np.zeros(C)  # the batch's, over the slabs so far
+    # the forward's kernel and bias; backward recomputes the unsigned conv
+    fwd_wm, fwd_bias = (wm, bias) if bn.training else (wm * sign.reshape(C, 1), bias * sign.reshape(bias.shape))
     for h0, h1 in slabs:
-        y = _conv_slab(wm, xp, 2 * h0, 2 * h1)
-        y += bias
+        y = _conv_slab(fwd_wm, xp, 2 * h0, 2 * h1)
+        y += fwd_bias
         check_finite(y, "conv3d", conv_shape)
-        _relu(y, y)
         if bn.training:
+            _relu(y, y)
             r = y.transpose(1, 0, 2, 3, 4).reshape(C, -1)  # the GEMM's [C, m] layout, a view
             m = r.shape[1]
             with np.errstate(over="ignore", invalid="ignore"):  # the statistics are checked below
@@ -446,11 +425,13 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
                 m2 += np.einsum("ij,ij->i", dev, dev) + delta**2 * (count * m / (count + m))
             count += m
             del dev  # so no two slabs' float64 copies are alive at once
-        y *= sign
+            y *= sign
         _window_max(y, xhat[:, :, h0:h1])
         if record:
             _first_argmax(y, xhat[:, :, h0:h1], arg[:, :, h0:h1])
-    xhat *= sign  # relu at each window's argmax
+    xhat *= sign  # each window's kept voxel, relu'd in train mode
+    if not bn.training:
+        _relu(xhat, xhat)
     stats = (mean64, m2 / count) if bn.training else (bn.running_mean, bn.running_var)
     with np.errstate(over="ignore"):  # a batch statistic past float32's range is checked next
         mean, var = (a.astype(x.dtype).reshape(gamma.shape) for a in stats)

@@ -23,15 +23,12 @@ from .layers import (
     BatchNorm3dState,
     Conv3dParams,
     EncoderLayerParams,
-    batchnorm3d,
-    conv3d_pool,
     conv_relu_bn_pool,
     global_avg_pool,
     linear,
-    relu,
     softmax,
 )
-from .tensor import Tensor, all_finite, concat, float_dtype, is_integer, recording
+from .tensor import Tensor, all_finite, concat, float_dtype, is_integer
 
 N_BINS = 84
 
@@ -157,23 +154,17 @@ class FusionBlock:
 def cnn_block(x: Tensor, p: CnnBlockParams, order: str) -> Tensor:
     """Conv(3, pad 1), ReLU, BatchNorm, MaxPool(2): the paper's block order.
 
-    `order` must be "relu_bn", `ModelConfig.conv_order`'s one value. Both
-    paths pool inside the conv's slabs, so the full-resolution conv output is
-    never built; each checks every conv voxel for non-finite values, and
-    BatchNorm's output only at the voxels the pool keeps. In train mode, or
-    when the call is recorded, the block is one node (`conv_relu_bn_pool`)
-    whose backward recomputes the conv slab by slab. When nothing is recorded
-    and BatchNorm is in eval mode, the pool runs first (`conv3d_pool`), and
-    relu and BatchNorm run on the pooled volume, with the same values: both
-    are then monotone per channel, so the window max becomes a min where
-    gamma < 0 (see `layers`).
+    `order` must be "relu_bn", `ModelConfig.conv_order`'s one value. The
+    block is one node (`conv_relu_bn_pool`) in every mode. It pools inside the
+    conv's slabs, so the full-resolution conv output is never built; it checks
+    every conv voxel for non-finite values, and BatchNorm's output only at the
+    voxels the pool keeps. In eval mode relu runs after the pool, on an eighth
+    of the voxels. When recorded, its backward recomputes the conv slab by
+    slab (see `layers`).
     """
     if order != "relu_bn":
         raise ConfigError(f"conv_order must be 'relu_bn', got {order!r}")
-    if p.bn.training or recording(x, p.conv.weight, p.conv.bias, p.bn.gamma, p.bn.beta):
-        return conv_relu_bn_pool(x, p.conv, p.bn)
-    h = conv3d_pool(x, p.conv, np.where(p.bn.gamma.data < 0, -1.0, 1.0))
-    return batchnorm3d(relu(h), p.bn)
+    return conv_relu_bn_pool(x, p.conv, p.bn)
 
 
 def aggregate(local: Tensor | None, global_: Tensor | None) -> Tensor:

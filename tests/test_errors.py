@@ -55,7 +55,8 @@ def bn_gamma(gamma_len):
 
 
 def fused_cnn_block_gamma(gamma_len):
-    """The unrecorded eval CNN block, which reads BatchNorm's gamma for the pool's signs before BatchNorm runs."""
+    """The unrecorded eval CNN block, which folds the signs of BatchNorm's gamma into the kernel before the pool:
+    the node checks gamma's length before it reads the signs."""
     cb = cnn_block()
     cb.bn = bn_gamma(gamma_len)
     with T.no_grad():
@@ -97,8 +98,6 @@ def f64():
         row(lambda: M.cnn_block(T.Tensor(np.ones((1, 1, 4, 4, 4))), cnn_block(), "bn_relu"), ConfigError,
             id="cnn-block-bn-relu"),
         row(lambda: L.conv3d(x4(), conv(bias_len=3)), DimensionError, id="conv-bias-length"),
-        row(lambda: L.conv3d_pool(x4(), conv(bias_len=3), np.ones(2)), DimensionError,
-            id="conv-pool-bias-length"),
         row(lambda: L.conv3d(x4(), conv(weight_shape=(2, 1, 3, 3))), DimensionError, id="conv-4d-kernel"),
         row(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn(3)), DimensionError,
             id="batchnorm-running-stats-length", match="batchnorm3d running_mean"),
@@ -123,10 +122,8 @@ def f64():
         row(lambda: T.concat([t23(), t23()], axis=True), DimensionError, id="concat-bool-axis"),
         row(lambda: T.backward(T.tsum(L.conv3d(x4(), conv(bias_len=1, requires_grad=True)))),
             DimensionError, id="conv-bias-length-1"),
-        row(lambda: L.conv3d_pool(x4(), conv(bias_len=1), np.ones(2)), DimensionError,
-            id="conv-pool-bias-length-1"),
         row(lambda: fused_cnn_block_gamma(3), DimensionError, id="fused-cnn-block-gamma-length",
-            match="conv3d_pool sign"),
+            match="conv_relu_bn_pool gamma"),
         row(lambda: L.conv3d(x4d(), conv()), DimensionError, id="conv-4d-input"),
         row(lambda: L.maxpool3d(x4d()), DimensionError, id="maxpool-4d-input"),
         row(lambda: L.batchnorm3d(x4d(), bn(2)), DimensionError, id="batchnorm-4d-input"),
@@ -135,10 +132,14 @@ def f64():
             id="batchnorm-gamma-length", match="batchnorm3d gamma"),
         row(lambda: L.conv_relu_bn_pool(x4(), conv(bias_len=3), bn(2)), DimensionError,
             id="conv-relu-bn-pool-bias-length", match="bias"),
+        row(lambda: L.conv_relu_bn_pool(x4(), conv(bias_len=1), bn(2)), DimensionError,
+            id="conv-relu-bn-pool-bias-length-1", match="bias"),
         row(lambda: L.conv_relu_bn_pool(x4(), conv(), bn_gamma(3)), DimensionError,
             id="conv-relu-bn-pool-gamma-length", match="conv_relu_bn_pool gamma"),
         row(lambda: L.conv_relu_bn_pool(x4(), conv(), bn(3, training=True)), DimensionError,
             id="conv-relu-bn-pool-running-stats-length", match="conv_relu_bn_pool running_mean"),
+        row(lambda: L.conv_relu_bn_pool(x4(), conv(), bn(3)), DimensionError,
+            id="conv-relu-bn-pool-eval-running-stats-length", match="conv_relu_bn_pool running_mean"),
         row(lambda: T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2)))), DimensionError,
             id="matmul-1d-operand"),
         row(lambda: M.build_model(M.ModelConfig(patch=(8,))), ConfigError, id="config-block-count"),

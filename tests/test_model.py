@@ -111,8 +111,14 @@ class TestCnnBlock:
             assert res.passed, res
 
 
+def cnn_block_composed(x, p):
+    """The CNN block as four tape nodes: `conv3d`, `relu`, `batchnorm3d`, `maxpool3d` (reference)."""
+    return L.maxpool3d(L.batchnorm3d(L.relu(L.conv3d(x, p.conv)), p.bn))
+
+
 class TestFusedEval:
-    """Unrecorded, with BatchNorm in eval, `cnn_block` pools inside the conv's slabs (`layers.conv3d_pool`)."""
+    """With BatchNorm in eval, the CNN block node pools inside the conv's slabs before relu and BatchNorm,
+    recorded or not, with the values of the composed four-node block."""
 
     def block(self, dtype, c_in, c_out, gammas="positive", seed=0):
         store = M.ParamStore(np.random.default_rng(seed), dtype)
@@ -143,12 +149,14 @@ class TestFusedEval:
         cb = self.block(dtype, 3, 5, gammas)
         if pairs is not None:  # a depth's columns take 27 * C_in * B * H * W elements
             monkeypatch.setattr(L, "_CHUNK_BYTES", pairs * 2 * 27 * 3 * 2 * 6 * 4 * x.data.itemsize)
-        recorded = M.cnn_block(x, cb, order)  # the parameters require grad: the one-node block
+        recorded = M.cnn_block(x, cb, order)  # the parameters require grad: the node keeps its argmax
         assert recorded.requires_grad
         with no_grad():
-            fused = M.cnn_block(x, cb, order)  # conv3d_pool, then relu and BatchNorm on the pooled volume
-        assert fused.dtype == dtype and fused.shape == recorded.shape == (2, 5, 5, 3, 2)
-        np.testing.assert_array_equal(fused.data, recorded.data)  # in value: the sign of a zero is unspecified
+            fused = M.cnn_block(x, cb, order)
+            composed = cnn_block_composed(x, cb)  # relu and BatchNorm on every conv voxel, then the pool
+        assert fused.dtype == dtype and fused.shape == recorded.shape == composed.shape == (2, 5, 5, 3, 2)
+        np.testing.assert_array_equal(fused.data, composed.data)  # in value: the sign of a zero is unspecified
+        np.testing.assert_array_equal(fused.data, recorded.data)
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_a_non_finite_value_the_pool_would_hide_raises(self, fused):
@@ -162,7 +170,7 @@ class TestFusedEval:
                 M.cnn_block(Tensor(x), cb, "relu_bn")
 
     def test_a_huge_negative_conv_voxel_gives_the_same_values_on_both_paths(self):
-        # relu maps the -1e38 conv voxel to 0 before BatchNorm scales it, so neither path overflows
+        # relu maps the -1e38 conv voxel to 0 before BatchNorm scales it, so neither call overflows
         cb = M._build_cnn_block(M.ParamStore(np.random.default_rng(0), np.float32), "cb", 1, 1)  # eval BatchNorm
         cb.conv.weight.data[:] = 0.0
         cb.conv.weight.data[:, :, 1, 1, 1] = 1.0  # the centre tap alone, and a zero bias: y = x
@@ -182,12 +190,22 @@ class TestFusedEval:
             with pytest.raises(DimensionError, match="divisible by 2"):
                 M.cnn_block(rand_input((4, 5, 4)), cb, "relu_bn")
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval-no-grad"])
+    def test_a_forward_runs_the_node_once_per_cnn_block(self, monkeypatch, training):
+        model = M.build_model(tiny_config(llb_channels=((2, 4), (4, 4)), glb_channels=(2, 2), patch=(2, 2),
+                                          embed_dim=(8, 8), depth=(1, 1), heads=(2, 2), input_shape=(16, 16, 16)))
+        calls = []
+        monkeypatch.setattr(M, "conv_relu_bn_pool", lambda *a, f=L.conv_relu_bn_pool: calls.append(a) or f(*a))
+        with contextlib.nullcontext() if training else no_grad():
+            model.forward(rand_input((16, 16, 16)), training=training)
+        assert len(calls) == 4 and all(bn.training == training for _, _, bn in calls)
+
     def test_the_full_resolution_output_is_never_built(self):
         cb = self.block(np.float32, 4, 32)
         x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 64, 64, 64)).astype(np.float32))
         conv_bytes = 32 * 64**3 * 4
         assert conv_bytes > L._CHUNK_BYTES
-        for training, record in [(False, False), (True, False), (True, True)]:
+        for training, record in [(False, False), (False, True), (True, False), (True, True)]:
             cb.bn.training = training
             tracemalloc.start()
             try:
