@@ -19,12 +19,17 @@ the node against.
 
 BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
 backward; they differ only in the reduced axes and where the statistics come
-from. Batch statistics that are not finite raise. Multi-head scaled
-dot-product attention is one node with a hand-written backward, like conv3d:
-it reads heads as strided views of the [*, n, d] projections, walks them in
-chunks under the same byte bound, and keeps one log-sum-exp per query row
-instead of the n x n weights. The encoder layer
-around it is composed from tensor primitives and tapes no reshape or transpose.
+from. Batch statistics that are not finite raise. Each sublayer of the
+encoder layer is one node with a hand-written backward that keeps its input
+and recomputes the rest. `multi_head_attention` projects x to q, k and v,
+reads the heads as strided views of the [*, n, d] projections, walks them in
+chunks under the same byte bound and projects the joined heads out; it keeps
+x, the joined heads and one log-sum-exp per query row, not q, k, v or the
+n x n weights. `feed_forward` is linear(gelu(linear(x))) and keeps x alone.
+The attention chunk loops and GELU's cdf and slope are private helpers, shared
+with `scaled_dot_attention` and `gelu`, which the model no longer calls: they
+are the composed reference that the tests compare the nodes against. The
+encoder layer tapes no reshape or transpose.
 
 Saved state is built only when `tensor.recording` says the node is recorded:
 the pool's argmax (the CNN block node's too), BatchNorm eval's x-hat beside
@@ -48,7 +53,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericsError
 from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, all_finite, apply_op, check_finite, is_integer
-from .tensor import matmul, recording, reshape
+from .tensor import matmul, no_grad, recording, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -156,22 +161,28 @@ def _conv_operands(x: Tensor, p: Conv3dParams) -> tuple[np.ndarray, np.ndarray, 
     return xp, wm, bias, 27 * c_in * B * H * W * x.data.itemsize
 
 
-def _conv_slab(wm: np.ndarray, xp: np.ndarray, d0: int, d1: int) -> np.ndarray:
-    """Output depths [d0, d1) of the bias-free conv: one GEMM, seen as [B, C_out, d1-d0, H, W]."""
+def _conv_slab(wm: np.ndarray, xp: np.ndarray, d0: int, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output depths [d0, d1) of the bias-free conv: one GEMM, seen as [B, C_out, d1-d0, H, W], and the
+    slab's columns that the GEMM read."""
     B, _, _, H, W = xp.shape
-    y = wm @ _cols(xp, d0, d1)
-    return y.reshape(len(wm), B, d1 - d0, H - 2, W - 2).transpose(1, 0, 2, 3, 4)
+    cols = _cols(xp, d0, d1)
+    y = wm @ cols
+    return y.reshape(len(wm), B, d1 - d0, H - 2, W - 2).transpose(1, 0, 2, 3, 4), cols
 
 
-def _conv_grads(slab_grads, wm: np.ndarray, xp: np.ndarray, need_dx: bool):
-    """dX (None unless `need_dx`), dW as [C_out, C_in*27] and db from `(d0, d1, gs)` per output slab, gs
-    the gradient of depths [d0, d1) as [C_out, B*(d1-d0)*H*W], `_conv_slab`'s GEMM layout. dW is gs times
-    the slab's columns, and dX folds W^T gs back through the tap views of the padded gradient (col2im)."""
+def _conv_grads(slabs, slab_grad, wm: np.ndarray, xp: np.ndarray, need_dx: bool):
+    """dX (None unless `need_dx`), dW as [C_out, C_in*27] and db over the output depth ranges `slabs`.
+    `slab_grad(d0, d1)` returns the gradient gs of depths [d0, d1) as [C_out, B*(d1-d0)*H*W], `_conv_slab`'s
+    GEMM layout, and the slab's columns. dW is gs times the columns, which are dropped before dX folds
+    W^T gs back through the tap views of the padded gradient (col2im). A function, not a generator,
+    hands them over, so no suspended frame keeps them alive through col2im."""
     B, c_in, _, H, W = xp.shape
     dw, db = np.zeros_like(wm), np.zeros(len(wm), wm.dtype)
     dxp = np.zeros_like(xp) if need_dx else None
-    for d0, d1, gs in slab_grads:
-        dw += gs @ _cols(xp, d0, d1).T
+    for d0, d1 in slabs:
+        gs, cols = slab_grad(d0, d1)
+        dw += gs @ cols.T
+        del cols  # so col2im's [C_in*27, m] product is the slab's only column-sized buffer
         db += gs.sum(axis=1)
         if dxp is None:
             continue
@@ -197,11 +208,13 @@ def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
     slabs = _chunks(x.shape[2], unit)  # output depth ranges
     out_data = np.empty((x.shape[0], c_out, *x.shape[2:]), dtype=x.data.dtype)
     for d0, d1 in slabs:
-        np.add(_conv_slab(wm, xp, d0, d1), bias, out_data[:, :, d0:d1])
+        np.add(_conv_slab(wm, xp, d0, d1)[0], bias, out_data[:, :, d0:d1])
 
     def bwd(g):
-        grads = ((d0, d1, g[:, :, d0:d1].transpose(1, 0, 2, 3, 4).reshape(c_out, -1)) for d0, d1 in slabs)
-        dx, dw, db = _conv_grads(grads, wm, xp, x.requires_grad)  # no dX for a constant input
+        def slab_grad(d0, d1):
+            return g[:, :, d0:d1].transpose(1, 0, 2, 3, 4).reshape(c_out, -1), _cols(xp, d0, d1)
+
+        dx, dw, db = _conv_grads(slabs, slab_grad, wm, xp, x.requires_grad)  # no dX for a constant input
         return dx, dw.reshape(p.weight.shape), db
 
     return apply_op(out_data, (x, p.weight, p.bias), bwd)
@@ -395,7 +408,10 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
     constants, and no full-resolution array. Backward recomputes each slab's
     conv (Chen et al. 2016) and forms dy = mask (a r + b), plus c g at each
     window's argmax, where a = b = 0 with constant statistics. `_conv_grads`
-    takes dy to dX, dW and db, as it does for `conv3d`.
+    takes dy to dX, dW and db, as it does for `conv3d`, with the columns the
+    recomputed conv built, so each slab's columns are built once. Backward
+    reads the kernel as it is when it runs, so it must run before an
+    in-place update of the weights.
     """
     xp, wm, bias, unit = _conv_operands(x, conv)
     conv_shape = (x.shape[0], len(wm), *x.shape[2:])
@@ -410,7 +426,7 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
     # the forward's kernel and bias; backward recomputes the unsigned conv
     fwd_wm, fwd_bias = (wm, bias) if bn.training else (wm * sign.reshape(C, 1), bias * sign.reshape(bias.shape))
     for h0, h1 in slabs:
-        y = _conv_slab(fwd_wm, xp, 2 * h0, 2 * h1)
+        y = _conv_slab(fwd_wm, xp, 2 * h0, 2 * h1)[0]
         y += fwd_bias
         check_finite(y, "conv3d", conv_shape)
         if bn.training:
@@ -453,19 +469,20 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
             b = c * dbeta.reshape(c.shape) / -n - a * mean
         cg = g * c
 
-        def slab_grads():
-            for h0, h1 in slabs:
-                dy = _conv_slab(wm, xp, 2 * h0, 2 * h1)
-                dy += bias
-                mask = dy > 0
-                dy *= a  # a r + b: r = y wherever the mask passes
-                dy += b
-                for t, view in enumerate(_windows(dy)):  # a masked add into a strided view is 4x slower
-                    view += cg[:, :, h0:h1] * (arg[:, :, h0:h1] == t)
-                dy *= mask
-                yield 2 * h0, 2 * h1, dy.transpose(1, 0, 2, 3, 4).reshape(C, -1)
+        def slab_grad(d0, d1):
+            h0, h1 = d0 // 2, d1 // 2
+            dy, cols = _conv_slab(wm, xp, d0, d1)
+            dy += bias
+            mask = dy > 0
+            dy *= a  # a r + b: r = y wherever the mask passes
+            dy += b
+            for t, view in enumerate(_windows(dy)):  # a masked add into a strided view is 4x slower
+                view += cg[:, :, h0:h1] * (arg[:, :, h0:h1] == t)
+            dy *= mask
+            return dy.transpose(1, 0, 2, 3, 4).reshape(C, -1), cols
 
-        dx, dw, db = _conv_grads(slab_grads(), wm, xp, x.requires_grad)
+        conv_slabs = [(2 * h0, 2 * h1) for h0, h1 in slabs]
+        dx, dw, db = _conv_grads(conv_slabs, slab_grad, wm, xp, x.requires_grad)
         return dx, dw.reshape(conv.weight.shape), db, dgamma, dbeta
 
     return apply_op(out, (x, conv.weight, conv.bias, bn.gamma, bn.beta), bwd)
@@ -536,6 +553,22 @@ def _phi32(x: np.ndarray) -> np.ndarray:
     return phi
 
 
+def _gelu_cdf(xf: np.ndarray) -> np.ndarray:
+    """The normal cdf of flat x, in a fresh buffer: `_phi32` in float32, `math.erf` per element in float64."""
+    return _phi32(xf) if xf.dtype == np.float32 else 0.5 * (1.0 + _erf(xf / SQRT2))
+
+
+def _gelu_slope(xf: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU's slope cdf(x) + x pdf(x) at flat x, from its cdf, in `out`."""
+    np.multiply(xf, -0.5, out=out)
+    out *= xf
+    np.exp(out, out=out)
+    out *= INV_SQRT_2PI  # the pdf
+    out *= xf
+    out += cdf
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: 0.5 x (1 + erf(x / sqrt(2))) (Hendrycks & Gimpel 2016).
 
@@ -544,19 +577,14 @@ def gelu(x: Tensor) -> Tensor:
     a 0-d x is one element. Only when recording does the forward compute the
     slope cdf(x) + x pdf(x), in one buffer; the node keeps that slope and
     neither x nor the cdf. Otherwise the output is written into the cdf's
-    buffer.
+    buffer. The model calls `feed_forward`, which shares the cdf and slope
+    helpers; this node is the composed reference the tests compare it with.
     """
     xf = x.data.reshape(-1)
-    cdf = _phi32(xf) if x.dtype == np.float32 else 0.5 * (1.0 + _erf(xf / SQRT2))
+    cdf = _gelu_cdf(xf)
     if recording(x):
         out_data = (xf * cdf).reshape(x.shape)
-        slope = np.multiply(xf, -0.5)
-        slope *= xf
-        np.exp(slope, out=slope)
-        slope *= INV_SQRT_2PI  # the pdf
-        slope *= xf
-        slope += cdf
-        slope = slope.reshape(x.shape)
+        slope = _gelu_slope(xf, cdf, np.empty_like(xf)).reshape(x.shape)
     else:
         out_data = np.multiply(xf, cdf, out=cdf).reshape(x.shape)
 
@@ -564,6 +592,75 @@ def gelu(x: Tensor) -> Tensor:
         return (g * slope,)
 
     return apply_op(out_data, (x,), bwd)
+
+
+def _product(a, b) -> np.ndarray:
+    """a @ b through `matmul`, unrecorded: a forward product inside a node, checked for non-finite values."""
+    with no_grad():
+        return matmul(a, b).data
+
+
+def _split(a: np.ndarray, heads: int) -> np.ndarray:
+    """[*, n, d] -> [G, heads, n, d_k], a view of a's buffer."""
+    n, d = a.shape[-2:]
+    return a.reshape(-1, n, heads, d // heads).swapaxes(1, 2)
+
+
+def _score_chunks(qh: np.ndarray) -> list[slice]:
+    """Chunks of the sequences of [G, heads, n, d_k] views whose [g, heads, n, n] score block fits in
+    _CHUNK_BYTES."""
+    G, heads, n, _ = qh.shape
+    return [slice(*r) for r in _chunks(G, heads * n * n * qh.itemsize)]
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads, record: bool):
+    """The forward chunk loop of multi-head attention over equal [*, n, d] arrays. Returns the joined
+    heads [*, n, d] and, when `record`, the [G, heads, n, 1] log-sum-exp of each query row, else None.
+    Both products go through `matmul`, which checks the scores and the output for non-finite values."""
+    d = q.shape[-1]
+    if not is_integer(heads) or heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} does not split into {heads} heads")
+    qh, kh, vh = (_split(a, heads) for a in (q, k, v))
+    scale = float(1.0 / np.sqrt(d // heads))  # a Python float, so float32 scores stay float32
+    out = np.empty(q.shape, q.dtype)
+    outh = _split(out, heads)
+    lse = np.empty(qh.shape[:3] + (1,), q.dtype) if record else None
+    for c in _score_chunks(qh):
+        s = matmul(qh[c], np.swapaxes(kh[c], -1, -2)).data
+        s *= scale
+        top = s.max(axis=-1, keepdims=True)
+        s -= top
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        s /= total
+        outh[c] = matmul(s, vh[c]).data
+        if record:
+            lse[c] = top + np.log(total)
+        del s  # so no two chunks' score blocks are alive at once
+    return out, lse
+
+
+def _attend_grads(q, k, v, out, lse, g, heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dQ, dK and dV, each [*, n, d], of `_attend`'s output `out` for its gradient g. Each chunk's weights
+    are recomputed from q, k and the log-sum-exp, so no n x n array outlives its chunk."""
+    qh, kh, vh, outh, gh = (_split(a, heads) for a in (q, k, v, out, g))
+    scale = float(1.0 / np.sqrt(qh.shape[-1]))
+    grads = tuple(np.empty(q.shape, q.dtype) for _ in range(3))
+    dq, dk, dv = (_split(a, heads) for a in grads)
+    for c in _score_chunks(qh):
+        p = np.matmul(qh[c], np.swapaxes(kh[c], -1, -2))
+        p *= scale
+        p -= lse[c]
+        np.exp(p, out=p)
+        dv[c] = np.matmul(np.swapaxes(p, -1, -2), gh[c])
+        ds = np.matmul(gh[c], np.swapaxes(vh[c], -1, -2))
+        ds -= (gh[c] * outh[c]).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq[c] = np.matmul(ds, kh[c])
+        dk[c] = np.matmul(np.swapaxes(ds, -1, -2), qh[c])
+        del p, ds
+    return grads
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -576,74 +673,110 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     sequences are walked in chunks whose [g, heads, n, n] score block fits in
     _CHUNK_BYTES. When recording, the node keeps q, k, v, the output and one
     log-sum-exp per query row, and backward recomputes each chunk's weights
-    from them (Rabe & Staats 2021), so no n x n array outlives its chunk. Both
-    forward products go through `matmul`, which checks the scores and the
-    weights for non-finite values.
+    from them (Rabe & Staats 2021), so no n x n array outlives its chunk. The
+    chunk loops are `_attend` and `_attend_grads`, which `multi_head_attention`
+    runs too; this node is the composed reference the tests compare it with.
     """
     if q.ndim < 2 or not (q.shape == k.shape == v.shape):
         raise DimensionError(
             f"attention needs equal [*, n, d] operands, got {q.shape}, {k.shape}, {v.shape}"
         )
-    shape, (n, d) = q.shape, q.shape[-2:]
-    if not is_integer(heads) or heads < 1 or d % heads:
-        raise DimensionError(f"attention width {d} does not split into {heads} heads")
-    d_k = d // heads
-
-    def split(a):  # [*, n, d] -> [G, heads, n, d_k], a view of a's buffer
-        return a.reshape(-1, n, heads, d_k).swapaxes(1, 2)
-
-    qh, kh, vh = (split(t.data) for t in (q, k, v))
-    scale = float(1.0 / np.sqrt(d_k))  # a Python float, so float32 scores stay float32
-    chunks = [slice(*r) for r in _chunks(len(qh), heads * n * n * q.data.itemsize)]
-    out = np.empty(shape, q.dtype)
-    outh = split(out)
-    lse = np.empty(qh.shape[:3] + (1,), q.dtype) if recording(q, k, v) else None
-    for c in chunks:
-        s = matmul(qh[c], np.swapaxes(kh[c], -1, -2)).data
-        s *= scale
-        top = s.max(axis=-1, keepdims=True)
-        s -= top
-        np.exp(s, out=s)
-        total = s.sum(axis=-1, keepdims=True)
-        s /= total
-        outh[c] = matmul(s, vh[c]).data
-        if lse is not None:
-            lse[c] = top + np.log(total)
-        del s  # so no two chunks' score blocks are alive at once
+    out, lse = _attend(q.data, k.data, v.data, heads, recording(q, k, v))
 
     def bwd(g):
-        g = split(g)
-        grads = tuple(np.empty(shape, q.dtype) for _ in range(3))
-        dq, dk, dv = (split(a) for a in grads)
-        for c in chunks:
-            p = np.matmul(qh[c], np.swapaxes(kh[c], -1, -2))
-            p *= scale
-            p -= lse[c]
-            np.exp(p, out=p)
-            dv[c] = np.matmul(np.swapaxes(p, -1, -2), g[c])
-            ds = np.matmul(g[c], np.swapaxes(vh[c], -1, -2))
-            ds -= (g[c] * outh[c]).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            dq[c] = np.matmul(ds, kh[c])
-            dk[c] = np.matmul(np.swapaxes(ds, -1, -2), qh[c])
-            del p, ds
-        return grads
+        return _attend_grads(q.data, k.data, v.data, out, lse, g, heads)
 
     return apply_op(out, (q, k, v), bwd)
 
 
 def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
-    """Project x [*, n, d] to q/k/v, attend with `heads` heads, project the joined heads out."""
-    q, k, v = linear(x, p.wq, p.bq), matmul(x, p.wk), linear(x, p.wv, p.bv)
-    return linear(scaled_dot_attention(q, k, v, heads), p.wo, p.bo)
+    """linear(scaled_dot_attention(x Wq + bq, x Wk, x Wv + bv), Wo, bo) for x [*, n, d], as one node.
+
+    The forward runs the three projections, `_attend` and the output
+    projection, each product through `matmul`, with the biases added in
+    place; q, k and v are dropped before the output projection. When
+    recording, the node keeps x, the joined heads [*, n, d] and one
+    log-sum-exp per query row. Backward recomputes q, k and v from x, three
+    [N, d] @ [d, d] GEMMs, runs `_attend_grads` and sums the three dX
+    products in one buffer (Chen et al. 2016; Korthikanti et al. 2022).
+    Backward reads the weights as they are when it runs, so it must run
+    before an in-place update of the weights.
+    """
+    weights, biases = (p.wq, p.wk, p.wv, p.wo), (p.bq, p.bv, p.bo)
+    d = x.shape[-1] if x.ndim >= 2 else None
+    if d is None or any(w.shape != (d, d) for w in weights) or any(b.shape != (d,) for b in biases):
+        raise DimensionError(f"multi_head_attention on x [*, n, d] needs [d, d] weights and [d] biases, got x "
+                             f"{x.shape}, weights {[w.shape for w in weights]}, biases {[b.shape for b in biases]}")
+    wq, wk, wv, wo, bq, bv, bo = (t.data for t in (*weights, *biases))
+    q, k, v = (_product(x, w) for w in weights[:3])
+    q += bq
+    v += bv
+    joined, lse = _attend(q, k, v, heads, recording(x, *weights, *biases))
+    del q, k, v
+    out = _product(joined, p.wo)
+    out += bo
+    xd = x.data
+
+    def bwd(g):
+        g2, x2, j2 = g.reshape(-1, d), xd.reshape(-1, d), joined.reshape(-1, d)
+        dwo, dbo = j2.T @ g2, g2.sum(axis=0)
+        dj = (g2 @ wo.T).reshape(joined.shape)
+        q, k, v = ((x2 @ w).reshape(xd.shape) for w in (wq, wk, wv))
+        q += bq
+        v += bv
+        dq, dk, dv = (a.reshape(-1, d) for a in _attend_grads(q, k, v, joined, lse, dj, heads))
+        del q, k, v, dj
+        dx = dq @ wq.T
+        dx += dk @ wk.T
+        dx += dv @ wv.T
+        return (dx.reshape(xd.shape), x2.T @ dq, x2.T @ dk, x2.T @ dv, dwo,
+                dq.sum(axis=0), dv.sum(axis=0), dbo)
+
+    return apply_op(out, (x, *weights, *biases), bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) for x [*, d], as one node.
+
+    The forward runs both products through `matmul`, adds the biases in place
+    and writes GELU into the hidden buffer. When recording, the node keeps
+    only x: backward recomputes h = x W1 + b1, then GELU's value for dW2 and
+    its slope for dh, with `gelu`'s helpers (Chen et al. 2016). Backward
+    reads the weights as they are when it runs, so it must run before an
+    in-place update of the weights.
+    """
+    if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise DimensionError(f"feed_forward on x [*, d] needs w1 [d, h], b1 [h], w2 [h, m] and b2 [m], got x "
+                             f"{x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and b2 {b2.shape}")
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    h = _product(x, w1)
+    h += b1d
+    hf = h.reshape(-1)
+    hf *= _gelu_cdf(hf)
+    out = _product(h, w2)
+    out += b2.data
+
+    def bwd(g):
+        g2, x2 = g.reshape(-1, g.shape[-1]), xd.reshape(-1, xd.shape[-1])
+        h = x2 @ w1d
+        h += b1d
+        hf = h.reshape(-1)
+        cdf = _gelu_cdf(hf)
+        act = (hf * cdf).reshape(h.shape)
+        dw2 = act.T @ g2
+        slope = _gelu_slope(hf, cdf, act.reshape(-1)).reshape(h.shape)  # in act's buffer
+        del h, hf, cdf
+        dh = g2 @ w2d.T
+        dh *= slope
+        return (dh @ w1d.T).reshape(xd.shape), x2.T @ dh, dh.sum(axis=0), dw2, g2.sum(axis=0)
+
+    return apply_op(out, (x, w1, b1, w2, b2), bwd)
 
 
 def transformer_encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int) -> Tensor:
     x = x + multi_head_attention(layer_norm(x, p.ln1_gamma, p.ln1_beta), p.attn, heads)
-    h = layer_norm(x, p.ln2_gamma, p.ln2_beta)
-    h = linear(gelu(linear(h, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
-    return x + h
+    return x + feed_forward(layer_norm(x, p.ln2_gamma, p.ln2_beta), p.ffn_w1, p.ffn_b1, p.ffn_w2, p.ffn_b2)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

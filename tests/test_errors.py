@@ -71,6 +71,16 @@ def load_checkpoint_of_other_names():
         M.load_checkpoint(path, M.build_model(CFG))
 
 
+def ones(*shape, requires_grad=False):
+    return T.Tensor(np.ones(shape), requires_grad=requires_grad)
+
+
+def attention_bias_length_1():
+    """Multi-head attention whose query bias has one entry: an in-place add would broadcast it."""
+    p = L.AttentionParams(*(ones(4, 4) for _ in range(4)), ones(1, requires_grad=True), ones(4), ones(4))
+    L.multi_head_attention(q(), p, 2)
+
+
 def row(call, error, id, match=None):
     """A case: `call` raises `error`, and its message names `match` where one is given."""
     return pytest.param(call, error, match, id=id)
@@ -142,6 +152,11 @@ def f64():
             id="conv-relu-bn-pool-eval-running-stats-length", match="conv_relu_bn_pool running_mean"),
         row(lambda: T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2)))), DimensionError,
             id="matmul-1d-operand"),
+        row(attention_bias_length_1, DimensionError, id="attention-bias-length-1", match="multi_head_attention"),
+        row(lambda: L.feed_forward(t23(), ones(3, 12), ones(1, requires_grad=True), ones(12, 3), ones(3)),
+            DimensionError, id="feed-forward-bias-length-1", match="feed_forward"),
+        row(lambda: L.feed_forward(t23(), ones(4, 12), ones(12), ones(12, 3), ones(3)), DimensionError,
+            id="feed-forward-weight-shape", match="feed_forward"),
         row(lambda: M.build_model(M.ModelConfig(patch=(8,))), ConfigError, id="config-block-count"),
         row(load_checkpoint_of_other_names, ConfigError, id="load-checkpoint-other-names"),
     ],

@@ -1162,6 +1162,94 @@ class TestMultiHeadAttention:
             assert res.passed, res
 
 
+def sublayer_case(name, rng, dtype, shape=(2, 5, 8), heads=2):
+    """Leaves (x first, then the weights and biases, all requiring grad), the node and its composed reference,
+    each a function of the leaves."""
+    d = shape[-1]
+
+    def leaf(*s):
+        return Tensor(rng.normal(scale=0.4, size=s).astype(dtype), requires_grad=True)
+
+    x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    if name == "feed_forward":
+        return [x, leaf(d, 4 * d), leaf(4 * d), leaf(4 * d, d), leaf(d)], L.feed_forward, feed_forward_composed
+
+    def node(x, *params):
+        return L.multi_head_attention(x, L.AttentionParams(*params), heads)
+
+    def composed(x, wq, wk, wv, wo, bq, bv, bo):
+        q, k, v = L.linear(x, wq, bq), T.matmul(x, wk), L.linear(x, wv, bv)
+        return L.linear(L.scaled_dot_attention(q, k, v, heads), wo, bo)
+
+    return [x, *(leaf(d, d) for _ in range(4)), *(leaf(d) for _ in range(3))], node, composed
+
+
+def feed_forward_composed(x, w1, b1, w2, b2):
+    return L.linear(L.gelu(L.linear(x, w1, b1)), w2, b2)
+
+
+SUBLAYERS = ["multi_head_attention", "feed_forward"]
+
+
+class TestSublayerNodes:
+    """The encoder layer's one-node sublayers against their composed references."""
+
+    def test_feed_forward_grad_check(self):
+        leaves, node, _ = sublayer_case("feed_forward", np.random.default_rng(80), np.float64, shape=(2, 3, 4))
+        coeff = np.random.default_rng(81).normal(size=(2, 3, 4))
+        for res in grad_check(lambda *a: (node(*a) * coeff).sum(), leaves, tol=1e-6):
+            assert res.passed, res
+
+    def test_attention_grad_check_across_chunk_edge(self, monkeypatch):
+        heads = 2
+        leaves, node, _ = sublayer_case("multi_head_attention", np.random.default_rng(82), np.float64,
+                                        shape=(5, 3, 2 * heads), heads=heads)
+        bound_for_chunk(monkeypatch, 3, 8, 2 * heads)
+        assert L._score_chunks(np.empty((5, heads, 3, 2))) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        coeff = np.random.default_rng(83).normal(size=(5, 3, 2 * heads))
+        for res in grad_check(lambda *a: (node(*a) * coeff).sum(), leaves, tol=1e-6):
+            assert res.passed, res
+
+    @pytest.mark.parametrize("name", SUBLAYERS)
+    def test_float32_matches_composed(self, name):
+        # the forward is the composed one's products and sums, in place; the grads differ in summation order
+        results = []
+        for i in range(2):
+            leaves, node, composed = sublayer_case(name, np.random.default_rng(84), np.float32, shape=(3, 7, 16))
+            out = (node, composed)[i](*leaves)
+            backward((out * Tensor(np.random.default_rng(85).normal(size=out.shape).astype(np.float32))).sum())
+            results.append([out.data, *(t.grad for t in leaves)])
+        (out, *grads), (ref, *ref_grads) = results
+        assert out.dtype == np.float32 and out.tobytes() == ref.tobytes()
+        for leaf, (got, want) in enumerate(zip(grads, ref_grads)):
+            assert got.dtype == np.float32 and got.shape == want.shape, leaf
+            err = np.abs(got - want).max()
+            assert err <= 1e-6 * np.abs(want).max(), (leaf, err / np.abs(want).max())
+
+    @pytest.mark.parametrize("name", SUBLAYERS)
+    def test_repeated_backward_accumulates(self, name):
+        leaves, node, _ = sublayer_case(name, np.random.default_rng(86), np.float64)
+        out = node(*leaves)
+        loss = (out * np.random.default_rng(87).normal(size=out.shape)).sum()
+        backward(loss)
+        once = [t.grad.copy() for t in leaves]
+        backward(loss)
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+
+    @pytest.mark.parametrize("name", SUBLAYERS)
+    def test_keeps_nothing_under_no_grad(self, name):
+        leaves, node, _ = sublayer_case(name, np.random.default_rng(88), np.float32, shape=(16, 64, 32), heads=4)
+
+        def forward():
+            with T.no_grad():
+                return node(*leaves)
+
+        out, retained, _ = traced_bytes(forward)
+        assert out._node is None
+        assert retained <= 1.01 * out.data.nbytes, retained / out.data.nbytes
+
+
 def encoder_params(d, rng, dtype=np.float64, zero_out=False):
     p = L.EncoderLayerParams(
         ln1_gamma=Tensor(np.ones(d, dtype=dtype), requires_grad=True),
@@ -1197,17 +1285,18 @@ class TestEncoderLayer:
         rng = np.random.default_rng(3)
         x = t64(rng.normal(size=(2, 5, 8)))
         ops = tape_ops(L.transformer_encoder_layer(x, encoder_params(8, rng), 2))
-        assert ops["scaled_dot_attention"] == 1
+        assert ops["multi_head_attention"] == ops["feed_forward"] == 1, ops
         assert ops["permute_axes"] == ops["reshape"] == 0, ops
 
-    def test_retains_seventeen_inputs(self):
-        # d-wide: the two LayerNorms' x-hat and output, q, k, v, the attention
-        # output and the layer output (9); 4d-wide: GELU's slope and output (2 x 4)
+    def test_retains_six_inputs(self):
+        # the two LayerNorms' x-hat, the attention node's input and joined heads,
+        # the FFN node's input and the layer output, all d-wide; the attention
+        # node's log-sum-exp adds heads / d = 1/8 of one
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(16, 64, 32)).astype(np.float32), requires_grad=True)
         p = encoder_params(32, rng, dtype=np.float32)
         _, retained, _ = traced_bytes(lambda: L.transformer_encoder_layer(x, p, 4))
-        assert retained <= 17.5 * x.data.nbytes, retained / x.data.nbytes
+        assert retained <= 6.5 * x.data.nbytes, retained / x.data.nbytes
 
     def test_grad_check_d4_n3(self):
         rng = np.random.default_rng(2)
