@@ -1,43 +1,37 @@
-"""Neural-network layers for both streams: 3D conv stack and transformer parts.
+"""Neural-network layers for both streams: the CNN block and the transformer encoder layer.
 
-Convolution and pooling are fused primitives with hand-written backward rules
-(the hot path). The 3x3x3 convolution is lowered to GEMMs over depth slabs:
-im2col for the forward pass and dW, col2im for dX, all through one tap-view
-helper, with each slab's column buffer held under a fixed byte bound. The 2x2x2
-max pool reads its 8 window positions as strided views and keeps a uint8 argmax.
-The CNN block (conv, relu, BatchNorm, pool) pools inside the conv's slabs, so
+Each layer the model runs is one tape node with a hand-written backward. The
+CNN block, `conv_relu_bn_pool` (3x3x3 conv, relu, BatchNorm, 2x2x2 max pool),
+lowers the conv to GEMMs over depth slabs: im2col for the forward pass and
+dW, col2im for dX, all through one tap-view helper, with each slab's column
+buffer held under a fixed byte bound. It pools inside the conv's slabs,
+reading the 8 window positions as strided views and keeping a uint8 argmax, so
 the full-resolution conv output is never built. That is exact: relu and
 BatchNorm are monotone maps per channel, and so is their rounding, so they
 commute with the window max, which becomes a min where BatchNorm's gamma < 0.
-The block is one node (`conv_relu_bn_pool`) in every mode. In train mode it
-gathers the batch statistics slab by slab; in eval mode it pools first and
-takes relu of the pooled voxels alone. Either way it normalizes only the
-pooled voxels and keeps no full-resolution array: its backward recomputes each
-slab's conv. The model calls none of `conv3d`, `relu`, `batchnorm3d` and
-`maxpool3d`; they serve only as the composed reference that the tests compare
-the node against.
+In train mode the node gathers the batch statistics slab by slab; in eval
+mode it pools first and takes relu of the pooled voxels alone. Either way it
+normalizes only the pooled voxels and keeps no full-resolution array: its
+backward recomputes each slab's conv. BatchNorm's formulas live in this node
+alone.
 
-BatchNorm and LayerNorm share one `normalize` primitive with the closed-form
-backward; they differ only in the reduced axes and where the statistics come
-from. Batch statistics that are not finite raise. Each sublayer of the
-encoder layer is one node with a hand-written backward that keeps its input
-and recomputes the rest. `multi_head_attention` projects x to q, k and v,
-reads the heads as strided views of the [*, n, d] projections, walks them in
-chunks under the same byte bound and projects the joined heads out; it keeps
-x, the joined heads and one log-sum-exp per query row, not q, k, v or the
-n x n weights. `feed_forward` is linear(gelu(linear(x))) and keeps x alone.
-The attention chunk loops and GELU's cdf and slope are private helpers, shared
-with `scaled_dot_attention` and `gelu`, which the model no longer calls: they
-are the composed reference that the tests compare the nodes against. The
-encoder layer tapes no reshape or transpose.
+`layer_norm` normalizes each row over the last axis with the closed-form
+backward; statistics that are not finite raise, as the CNN block's batch
+statistics do. Each sublayer of the encoder layer is one node that keeps its
+input and recomputes the rest. `multi_head_attention` projects x to q, k and
+v, reads the heads as strided views of the [*, n, d] projections, walks them
+in chunks under the same byte bound and projects the joined heads out; it
+keeps x, the joined heads and one log-sum-exp per query row, not q, k, v or
+the n x n weights. `feed_forward` is linear(gelu(linear(x))) and keeps x
+alone. The encoder layer tapes no reshape or transpose. The tests compare
+each node with an independent composition of tape ops in float64
+(`tests/reference.py`).
 
 Saved state is built only when `tensor.recording` says the node is recorded:
-the pool's argmax (the CNN block node's too), BatchNorm eval's x-hat beside
-its output, GELU's slope and attention's log-sum-exp. So an eval forward under
-`no_grad` builds none of them, and eval BatchNorm holds one full-size array,
-not two. GELU's erf is
-the standard library's `math.erf` in float64 and a blocked float32 rational
-in float32.
+the CNN block's argmax and its x-hat beside the output, and attention's
+log-sum-exp. So an eval forward under `no_grad` builds none of them. GELU's
+erf is the standard library's `math.erf` in float64 and a blocked float32
+rational in float32.
 
 Outputs and gradients are specified as values: the sign of an exact zero is
 unspecified, and relu and the pool may write either.
@@ -53,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericsError
 from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, all_finite, apply_op, check_finite, is_integer
-from .tensor import matmul, no_grad, recording, reshape
+from .tensor import matmul, no_grad, recording
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -110,7 +104,7 @@ class EncoderLayerParams:
 
 # -- convolutional stream ------------------------------------------------------
 
-# Upper bound on one transient block: a conv3d depth slab's column buffer, or
+# Upper bound on one transient block: a conv depth slab's column buffer, or
 # an attention chunk's score block.
 _CHUNK_BYTES = 8 << 20
 
@@ -150,11 +144,11 @@ def _conv_operands(x: Tensor, p: Conv3dParams) -> tuple[np.ndarray, np.ndarray, 
     matrix, the bias as a [C_out, 1, 1, 1] column and the column bytes of one output depth,
     the slab unit of `_chunks`."""
     if x.ndim != 5:
-        raise DimensionError(f"conv3d expects [B,C,D,H,W], got {x.shape}")
+        raise DimensionError(f"conv_relu_bn_pool expects [B,C,D,H,W], got {x.shape}")
     B, c_in, D, H, W = x.shape
     if p.weight.shape != (*p.weight.shape[:1], c_in, 3, 3, 3) or p.bias.shape != p.weight.shape[:1]:
-        raise DimensionError(f"conv3d channel mismatch: with {c_in} input channels the kernel must be [C_out, "
-                             f"{c_in}, 3, 3, 3] and the bias [C_out], got {p.weight.shape} and {p.bias.shape}")
+        raise DimensionError(f"conv_relu_bn_pool channel mismatch: with {c_in} input channels the kernel must be "
+                             f"[C_out, {c_in}, 3, 3, 3] and the bias [C_out], got {p.weight.shape} and {p.bias.shape}")
     c_out = p.weight.shape[0]
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
     wm, bias = p.weight.data.reshape(c_out, c_in * 27), p.bias.data.reshape(c_out, 1, 1, 1)
@@ -170,68 +164,9 @@ def _conv_slab(wm: np.ndarray, xp: np.ndarray, d0: int, d1: int) -> tuple[np.nda
     return y.reshape(len(wm), B, d1 - d0, H - 2, W - 2).transpose(1, 0, 2, 3, 4), cols
 
 
-def _conv_grads(slabs, slab_grad, wm: np.ndarray, xp: np.ndarray, need_dx: bool):
-    """dX (None unless `need_dx`), dW as [C_out, C_in*27] and db over the output depth ranges `slabs`.
-    `slab_grad(d0, d1)` returns the gradient gs of depths [d0, d1) as [C_out, B*(d1-d0)*H*W], `_conv_slab`'s
-    GEMM layout, and the slab's columns. dW is gs times the columns, which are dropped before dX folds
-    W^T gs back through the tap views of the padded gradient (col2im). A function, not a generator,
-    hands them over, so no suspended frame keeps them alive through col2im."""
-    B, c_in, _, H, W = xp.shape
-    dw, db = np.zeros_like(wm), np.zeros(len(wm), wm.dtype)
-    dxp = np.zeros_like(xp) if need_dx else None
-    for d0, d1 in slabs:
-        gs, cols = slab_grad(d0, d1)
-        dw += gs @ cols.T
-        del cols  # so col2im's [C_in*27, m] product is the slab's only column-sized buffer
-        db += gs.sum(axis=1)
-        if dxp is None:
-            continue
-        dcols = (wm.T @ gs).reshape(c_in, 27, B, d1 - d0, H - 2, W - 2)
-        for t, view in enumerate(_taps(dxp, d0, d1)):
-            view += dcols[:, t].transpose(1, 0, 2, 3, 4)
-    return None if dxp is None else np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1, 1:-1]), dw, db
-
-
-def conv3d(x: Tensor, p: Conv3dParams) -> Tensor:
-    """Cross-correlation with zero padding 1 and stride 1.
-
-    Lowered to one GEMM per output depth slab: the slab's 27 shifted input
-    views are unfolded into a column matrix (im2col) and multiplied by the
-    [C_out, C_in*27] kernel. Backward walks the same slabs: dW is the output
-    gradient times the columns, and dX folds W^T times the gradient back
-    through the same tap views of the padded gradient (col2im). The columns
-    of a whole volume would take 27x the input's memory; slabs hold that
-    transient under _CHUNK_BYTES so it stays small next to the activations.
-    """
-    xp, wm, bias, unit = _conv_operands(x, p)
-    c_out = len(wm)
-    slabs = _chunks(x.shape[2], unit)  # output depth ranges
-    out_data = np.empty((x.shape[0], c_out, *x.shape[2:]), dtype=x.data.dtype)
-    for d0, d1 in slabs:
-        np.add(_conv_slab(wm, xp, d0, d1)[0], bias, out_data[:, :, d0:d1])
-
-    def bwd(g):
-        def slab_grad(d0, d1):
-            return g[:, :, d0:d1].transpose(1, 0, 2, 3, 4).reshape(c_out, -1), _cols(xp, d0, d1)
-
-        dx, dw, db = _conv_grads(slabs, slab_grad, wm, xp, x.requires_grad)  # no dX for a constant input
-        return dx, dw.reshape(p.weight.shape), db
-
-    return apply_op(out_data, (x, p.weight, p.bias), bwd)
-
-
 def _relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(a, 0), into `out` if given: the one relu of the package, whose zeros may have either sign."""
     return np.maximum(a, 0, out=out)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0 if recording(x) else None  # subgradient at 0 defined as 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return apply_op(_relu(x.data), (x,), bwd, check=False)
 
 
 def _windows(a: np.ndarray) -> list[np.ndarray]:
@@ -262,133 +197,33 @@ def _pooled_shape(shape) -> tuple[int, ...]:
     """The [B, C, D/2, H/2, W/2] shape of a 2x2x2 pool over `shape`; an odd extent raises."""
     D, H, W = shape[2:]
     if D % 2 or H % 2 or W % 2:
-        raise DimensionError(f"maxpool3d needs extents divisible by 2, got {(D, H, W)}")
+        raise DimensionError(f"conv_relu_bn_pool needs extents divisible by 2, got {(D, H, W)}")
     return (*shape[:2], D // 2, H // 2, W // 2)
 
 
-def maxpool3d(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2x2 window maximum; gradient goes to each window's first argmax.
-
-    Neither direction copies x: the windows are strided views (`_windows`).
-    Only when recording does the node keep a uint8 first argmax; backward
-    writes g into each view of dx where that window position won, and 0 elsewhere.
-    """
-    if x.ndim != 5:
-        raise DimensionError(f"maxpool3d expects [B,C,D,H,W], got {x.shape}")
-    shape, dtype = x.shape, x.dtype
-    out_data = _window_max(x.data, np.empty(_pooled_shape(shape), dtype))
-    arg = _first_argmax(x.data, out_data, np.empty(out_data.shape, np.uint8)) if recording(x) else None
-
-    def bwd(g):
-        dx = np.empty(shape, dtype)  # the 8 views tile dx, so each entry is written once
-        for t, view in enumerate(_windows(dx)):
-            np.multiply(g, arg == t, out=view)
-        return (dx,)
-
-    return apply_op(out_data, (x,), bwd, check=False)
-
-
-def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, stats=None):
-    """gamma * (x - mu) / sqrt(var + EPS) + beta as one tape node, over `axes`.
-
-    Without `stats`, mu and var are the biased statistics of x over `axes` and
-    the backward differentiates through them (Ioffe & Szegedy 2015; Ba et al.
-    2016). With `stats=(mean, var)`, arrays broadcastable to x, they are
-    constants. gamma and beta broadcast against x. Returns the output and the
-    (mean, var) used, reduced with keepdims.
-
-    When recording, the node keeps x-hat beside the output. With `stats` and
-    not recording, x-hat is computed in the output buffer.
-    """
-    axes = _normalize_axes(axes, x.shape)
-    if stats is None:
-        mean = x.data.mean(axis=axes, keepdims=True)
-        xhat = x.data - mean
-        out_data = np.square(xhat)  # the variance's scratch, then the output
-        var = out_data.mean(axis=axes, keepdims=True)
-        _check_stats(mean, var, "normalize")
-    else:
-        mean, var = (np.asarray(a, dtype=x.dtype) for a in stats)
-        xhat = _fit(np.subtract, x.data, mean, np.empty_like(x.data))  # x's shape: a wider mean raises
-        out_data = np.empty_like(xhat) if recording(x, gamma, beta) else xhat
-    std = np.sqrt(var + EPS)
-    _fit(np.divide, xhat, std, xhat)  # stats, gamma or beta that x cannot take raise here
-    _fit(np.multiply, xhat, gamma.data, out_data)
-    _fit(np.add, out_data, beta.data, out_data)
-    per_channel = gamma.ndim == x.ndim and all(gamma.shape[a] == 1 for a in axes)  # BatchNorm
-    n = math.prod(x.shape[a] for a in axes)
-
-    def bwd(g):
-        gx = g * xhat  # the one full-size buffer: dgamma is reduced from it, then it becomes dx
-        dgamma = _unbroadcast(gx, gamma.shape).copy()  # a copy even where nothing was summed
-        dbeta = _unbroadcast(g, beta.shape)
-        if stats is not None:  # constant statistics, whatever gamma's shape
-            np.multiply(g, gamma.data / std, out=gx)
-        elif per_channel:  # (gamma/std) (g - mean(g) - xhat mean(g xhat)), through mu and var
-            np.multiply(xhat, dgamma / n, out=gx)  # the means are the sums dgamma and dbeta over n
-            np.subtract(g, gx, out=gx)
-            gx -= dbeta / n
-            gx *= gamma.data / std
-        else:  # LayerNorm: gamma varies along the reduced axis
-            np.multiply(g, gamma.data, out=gx)
-            m2 = (gx * xhat).mean(axis=axes, keepdims=True)
-            gx -= gx.mean(axis=axes, keepdims=True)
-            gx -= xhat * m2
-            gx /= std
-        return gx, dgamma, dbeta
-
-    return apply_op(out_data, (x, gamma, beta), bwd), (mean, var)
-
-
-def batchnorm3d(x: Tensor, s: BatchNorm3dState) -> Tensor:
-    """Per-channel normalization over batch and spatial dims.
-
-    Train mode uses batch statistics (biased variance) and updates running
-    stats with the unbiased variance; eval mode normalizes with the stored
-    running stats. Affine transform applied last.
-    """
-    if x.ndim != 5:
-        raise DimensionError(f"batchnorm3d expects [B,C,D,H,W], got {x.shape}")
-    C, n = _batchnorm_checks(x.shape, s, "batchnorm3d")
-    stats = tuple(a.reshape(1, C, 1, 1, 1) for a in (s.running_mean, s.running_var))
-    gamma = reshape(s.gamma, (1, C, 1, 1, 1))
-    beta = reshape(s.beta, (1, C, 1, 1, 1))
-    out, (mean, var) = normalize(x, gamma, beta, (0, 2, 3, 4), None if s.training else stats)
-    if s.training:
-        _update_running(s, mean, var, n)
-    return out
-
-
-def _batchnorm_checks(shape, s: BatchNorm3dState, op: str) -> tuple[int, int]:
+def _batchnorm_checks(shape, s: BatchNorm3dState) -> tuple[int, int]:
     """Check BatchNorm state `s` for a [B, C, D, H, W] input of `shape`, in both modes, so a bad array
     raises before train mode updates the statistics. Returns C and the voxel count per channel."""
     C, n = shape[1], shape[0] * math.prod(shape[2:])
     if s.training and n < 2:
-        raise DimensionError(f"{op} train mode needs >= 2 elements per channel")
+        raise DimensionError("conv_relu_bn_pool train mode needs >= 2 elements per channel")
     for name, a in (("gamma", s.gamma.data), ("beta", s.beta.data), ("running_mean", s.running_mean),
                     ("running_var", s.running_var)):
         if np.shape(a) != (C,):
-            raise DimensionError(f"{op} {name} must hold one entry per channel, [{C}], got shape {np.shape(a)}")
+            raise DimensionError(f"conv_relu_bn_pool {name} must hold one entry per channel, [{C}], got shape "
+                                 f"{np.shape(a)}")
     return C, n
 
 
 def _check_stats(mean: np.ndarray, var: np.ndarray, op: str):
-    """Raise NumericsError naming forward op `op` if a batch mean or variance is NaN or infinite."""
+    """Raise NumericsError naming forward op `op` if a mean or variance it normalizes with is NaN or infinite."""
     if not (all_finite(mean) and all_finite(var)):
-        raise NumericsError(f"non-finite batch statistics in forward op {op} (per-channel shape {mean.shape}, "
+        raise NumericsError(f"non-finite batch statistics in forward op {op} (statistics shape {mean.shape}, "
                             f"dtype {mean.dtype})")
 
 
-def _update_running(s: BatchNorm3dState, mean: np.ndarray, var: np.ndarray, n: int):
-    """Move the running statistics toward the batch's, with the unbiased variance (detached; single
-    writer: the training loop)."""
-    C = len(s.running_mean)
-    s.running_mean += MOMENTUM * (mean.reshape(C) - s.running_mean)
-    s.running_var += MOMENTUM * (var.reshape(C) * (n / (n - 1)) - s.running_var)
-
-
 def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Tensor:
-    """maxpool3d(batchnorm3d(relu(conv3d(x, conv)), bn)), the paper's CNN block, as one node.
+    """maxpool(batchnorm(relu(conv3d(x, conv)), bn)), the paper's CNN block, as one node.
 
     The forward walks the conv in slabs of an even number of output depths and
     pools each slab on its own, after its bias and a non-finite check. Train
@@ -399,23 +234,23 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
     recording, the pool keeps its uint8 first argmax; in eval mode it differs
     from relu's only where the winning conv value is <= 0, where the relu mask
     zeroes the gradient either way. BatchNorm is monotone per channel, so only
-    the pooled voxels are normalized, with `batchnorm3d`'s values; its output is
-    checked there alone. Train mode normalizes with the batch statistics and
-    updates the running ones as `batchnorm3d` does. Eval mode takes the running
-    ones as constants.
+    the pooled voxels are normalized; its output is checked there alone. Train
+    mode normalizes with the batch statistics (biased variance) and moves the
+    running ones toward them by MOMENTUM, with the unbiased variance (Ioffe &
+    Szegedy 2015). Eval mode takes the running ones as constants.
 
     The node keeps padded x, the argmax, the pooled x-hat and per-channel
     constants, and no full-resolution array. Backward recomputes each slab's
     conv (Chen et al. 2016) and forms dy = mask (a r + b), plus c g at each
-    window's argmax, where a = b = 0 with constant statistics. `_conv_grads`
-    takes dy to dX, dW and db, as it does for `conv3d`, with the columns the
-    recomputed conv built, so each slab's columns are built once. Backward
-    reads the kernel as it is when it runs, so it must run before an
-    in-place update of the weights.
+    window's argmax, where a = b = 0 with constant statistics. dW is dy times
+    the columns the recomputed conv built, so each slab's columns are built
+    once; they are dropped before dX folds W^T dy back through the tap views of
+    the padded gradient (col2im). Backward reads the kernel as it is when it
+    runs, so it must run before an in-place update of the weights.
     """
     xp, wm, bias, unit = _conv_operands(x, conv)
     conv_shape = (x.shape[0], len(wm), *x.shape[2:])
-    C, n = _batchnorm_checks(conv_shape, bn, "conv_relu_bn_pool")
+    C, n = _batchnorm_checks(conv_shape, bn)
     gamma, beta = (t.data.reshape(1, C, 1, 1, 1) for t in (bn.gamma, bn.beta))
     sign = np.where(gamma < 0, -1, 1).astype(x.dtype)
     record = recording(x, conv.weight, conv.bias, bn.gamma, bn.beta)
@@ -428,7 +263,7 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
     for h0, h1 in slabs:
         y = _conv_slab(fwd_wm, xp, 2 * h0, 2 * h1)[0]
         y += fwd_bias
-        check_finite(y, "conv3d", conv_shape)
+        check_finite(y, "conv_relu_bn_pool", conv_shape)
         if bn.training:
             _relu(y, y)
             r = y.transpose(1, 0, 2, 3, 4).reshape(C, -1)  # the GEMM's [C, m] layout, a view
@@ -453,7 +288,8 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
         mean, var = (a.astype(x.dtype).reshape(gamma.shape) for a in stats)
     if bn.training:
         _check_stats(mean, var, "conv_relu_bn_pool")
-        _update_running(bn, mean, var, n)
+        bn.running_mean += MOMENTUM * (mean.reshape(C) - bn.running_mean)  # detached; single writer: training
+        bn.running_var += MOMENTUM * (var.reshape(C) * (n / (n - 1)) - bn.running_var)
     std = np.sqrt(var + EPS)
     xhat -= mean
     xhat /= std
@@ -468,9 +304,11 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
             a = c * dgamma.reshape(c.shape) / (-n * std)
             b = c * dbeta.reshape(c.shape) / -n - a * mean
         cg = g * c
-
-        def slab_grad(d0, d1):
-            h0, h1 = d0 // 2, d1 // 2
+        B, c_in, _, H, W = xp.shape
+        dw, db = np.zeros_like(wm), np.zeros(C, wm.dtype)
+        dxp = np.zeros_like(xp) if x.requires_grad else None  # no dX for a constant input
+        for h0, h1 in slabs:
+            d0, d1 = 2 * h0, 2 * h1
             dy, cols = _conv_slab(wm, xp, d0, d1)
             dy += bias
             mask = dy > 0
@@ -479,10 +317,17 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
             for t, view in enumerate(_windows(dy)):  # a masked add into a strided view is 4x slower
                 view += cg[:, :, h0:h1] * (arg[:, :, h0:h1] == t)
             dy *= mask
-            return dy.transpose(1, 0, 2, 3, 4).reshape(C, -1), cols
-
-        conv_slabs = [(2 * h0, 2 * h1) for h0, h1 in slabs]
-        dx, dw, db = _conv_grads(conv_slabs, slab_grad, wm, xp, x.requires_grad)
+            gs = dy.transpose(1, 0, 2, 3, 4).reshape(C, -1)  # the GEMM's [C, m] layout, a view
+            del dy, mask
+            dw += gs @ cols.T
+            del cols  # so col2im's [C_in*27, m] product is the slab's only column-sized buffer
+            db += gs.sum(axis=1)
+            if dxp is None:
+                continue
+            dcols = (wm.T @ gs).reshape(c_in, 27, B, d1 - d0, H - 2, W - 2)
+            for t, view in enumerate(_taps(dxp, d0, d1)):
+                view += dcols[:, t].transpose(1, 0, 2, 3, 4)
+        dx = None if dxp is None else np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1, 1:-1])
         return dx, dw.reshape(conv.weight.shape), db, dgamma, dbeta
 
     return apply_op(out, (x, conv.weight, conv.bias, bn.gamma, bn.beta), bwd)
@@ -494,8 +339,35 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis, then affine."""
-    return normalize(x, gamma, beta, (-1,))[0]
+    """gamma * (x - mu) / sqrt(var + EPS) + beta over the last axis, as one node (Ba et al. 2016).
+
+    mu and var are the biased statistics of each row, and the closed-form
+    backward differentiates through them. gamma and beta broadcast against x.
+    The node keeps x-hat beside the output.
+    """
+    axes = _normalize_axes(-1, x.shape)
+    mean = x.data.mean(axis=axes, keepdims=True)
+    xhat = x.data - mean
+    out_data = np.square(xhat)  # the variance's scratch, then the output
+    var = out_data.mean(axis=axes, keepdims=True)
+    _check_stats(mean, var, "layer_norm")
+    std = np.sqrt(var + EPS)
+    xhat /= std
+    _fit(np.multiply, xhat, gamma.data, out_data)  # a gamma or beta that x cannot take raises here
+    _fit(np.add, out_data, beta.data, out_data)
+
+    def bwd(g):
+        gx = g * xhat  # the one full-size buffer: dgamma is reduced from it, then it becomes dx
+        dgamma = _unbroadcast(gx, gamma.shape).copy()  # a copy even where nothing was summed
+        dbeta = _unbroadcast(g, beta.shape)
+        np.multiply(g, gamma.data, out=gx)
+        m2 = (gx * xhat).mean(axis=axes, keepdims=True)
+        gx -= gx.mean(axis=axes, keepdims=True)
+        gx -= xhat * m2
+        gx /= std
+        return gx, dgamma, dbeta
+
+    return apply_op(out_data, (x, gamma, beta), bwd)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -569,31 +441,6 @@ def _gelu_slope(xf: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: 0.5 x (1 + erf(x / sqrt(2))) (Hendrycks & Gimpel 2016).
-
-    float64 takes `math.erf` per element; float32 takes `_phi32`, within
-    1e-6 max(1, |x|) of the float64 GELU. Both work on the flat view of x, so
-    a 0-d x is one element. Only when recording does the forward compute the
-    slope cdf(x) + x pdf(x), in one buffer; the node keeps that slope and
-    neither x nor the cdf. Otherwise the output is written into the cdf's
-    buffer. The model calls `feed_forward`, which shares the cdf and slope
-    helpers; this node is the composed reference the tests compare it with.
-    """
-    xf = x.data.reshape(-1)
-    cdf = _gelu_cdf(xf)
-    if recording(x):
-        out_data = (xf * cdf).reshape(x.shape)
-        slope = _gelu_slope(xf, cdf, np.empty_like(xf)).reshape(x.shape)
-    else:
-        out_data = np.multiply(xf, cdf, out=cdf).reshape(x.shape)
-
-    def bwd(g):
-        return (g * slope,)
-
-    return apply_op(out_data, (x,), bwd)
-
-
 def _product(a, b) -> np.ndarray:
     """a @ b through `matmul`, unrecorded: a forward product inside a node, checked for non-finite values."""
     with no_grad():
@@ -663,44 +510,24 @@ def _attend_grads(q, k, v, out, lse, g, heads: int) -> tuple[np.ndarray, np.ndar
     return grads
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax(Q K^T / sqrt(d_k)) V over [*, n, d] operands, as one node.
+def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
+    """Multi-head softmax(Q K^T / sqrt(d_k)) V of q = x Wq + bq, k = x Wk and v = x Wv + bv, with the heads
+    joined and projected by Wo and bo, for x [*, n, d], as one node.
 
     d splits into `heads` heads of d_k = d / heads (Vaswani et al. 2017), read
-    as strided [G, heads, n, d_k] views of the operands with no copy (Dao et
-    al. 2022). The output and the gradients are written through the same
-    views, so the result is [*, n, d] with the heads concatenated. The G
-    sequences are walked in chunks whose [g, heads, n, n] score block fits in
-    _CHUNK_BYTES. When recording, the node keeps q, k, v, the output and one
-    log-sum-exp per query row, and backward recomputes each chunk's weights
-    from them (Rabe & Staats 2021), so no n x n array outlives its chunk. The
-    chunk loops are `_attend` and `_attend_grads`, which `multi_head_attention`
-    runs too; this node is the composed reference the tests compare it with.
-    """
-    if q.ndim < 2 or not (q.shape == k.shape == v.shape):
-        raise DimensionError(
-            f"attention needs equal [*, n, d] operands, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    out, lse = _attend(q.data, k.data, v.data, heads, recording(q, k, v))
-
-    def bwd(g):
-        return _attend_grads(q.data, k.data, v.data, out, lse, g, heads)
-
-    return apply_op(out, (q, k, v), bwd)
-
-
-def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
-    """linear(scaled_dot_attention(x Wq + bq, x Wk, x Wv + bv), Wo, bo) for x [*, n, d], as one node.
-
-    The forward runs the three projections, `_attend` and the output
+    as strided [G, heads, n, d_k] views of the [*, n, d] projections with no
+    copy (Dao et al. 2022); the joined heads are written through the same
+    views. The forward runs the three projections, `_attend` and the output
     projection, each product through `matmul`, with the biases added in
-    place; q, k and v are dropped before the output projection. When
-    recording, the node keeps x, the joined heads [*, n, d] and one
+    place; q, k and v are dropped before the output projection. `_attend`
+    walks the G sequences in chunks whose [g, heads, n, n] score block fits in
+    _CHUNK_BYTES. When recording, the node keeps x, the joined heads and one
     log-sum-exp per query row. Backward recomputes q, k and v from x, three
-    [N, d] @ [d, d] GEMMs, runs `_attend_grads` and sums the three dX
-    products in one buffer (Chen et al. 2016; Korthikanti et al. 2022).
-    Backward reads the weights as they are when it runs, so it must run
-    before an in-place update of the weights.
+    [N, d] @ [d, d] GEMMs, and `_attend_grads` recomputes each chunk's weights
+    from them and the log-sum-exp (Rabe & Staats 2021), so no n x n array
+    outlives its chunk; the three dX products are summed in one buffer (Chen
+    et al. 2016; Korthikanti et al. 2022). Backward reads the weights as they
+    are when it runs, so it must run before an in-place update of the weights.
     """
     weights, biases = (p.wq, p.wk, p.wv, p.wo), (p.bq, p.bv, p.bo)
     d = x.shape[-1] if x.ndim >= 2 else None
@@ -738,12 +565,14 @@ def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear(gelu(linear(x, w1, b1)), w2, b2) for x [*, d], as one node.
 
-    The forward runs both products through `matmul`, adds the biases in place
-    and writes GELU into the hidden buffer. When recording, the node keeps
-    only x: backward recomputes h = x W1 + b1, then GELU's value for dW2 and
-    its slope for dh, with `gelu`'s helpers (Chen et al. 2016). Backward
-    reads the weights as they are when it runs, so it must run before an
-    in-place update of the weights.
+    GELU is exact: 0.5 h (1 + erf(h / sqrt(2))) (Hendrycks & Gimpel 2016),
+    with `math.erf` per element in float64 and `_phi32` in float32, within
+    1e-6 max(1, |h|) of the float64 GELU. The forward runs both products
+    through `matmul`, adds the biases in place and writes GELU into the
+    hidden buffer. When recording, the node keeps only x: backward recomputes
+    h = x W1 + b1, then GELU's value for dW2 and its slope cdf(h) + h pdf(h)
+    for dh (Chen et al. 2016). Backward reads the weights as they are when it
+    runs, so it must run before an in-place update of the weights.
     """
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):

@@ -75,10 +75,14 @@ def ones(*shape, requires_grad=False):
     return T.Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
+def attention_params(bq=None):
+    """Attention parameters for q()'s width 4."""
+    return L.AttentionParams(*(ones(4, 4) for _ in range(4)), ones(4) if bq is None else bq, ones(4), ones(4))
+
+
 def attention_bias_length_1():
     """Multi-head attention whose query bias has one entry: an in-place add would broadcast it."""
-    p = L.AttentionParams(*(ones(4, 4) for _ in range(4)), ones(1, requires_grad=True), ones(4), ones(4))
-    L.multi_head_attention(q(), p, 2)
+    L.multi_head_attention(q(), attention_params(ones(1, requires_grad=True)), 2)
 
 
 def row(call, error, id, match=None):
@@ -102,24 +106,21 @@ def f64():
         row(lambda: t23().reshape("a"), DimensionError, id="method-reshape-str"),
         row(lambda: T.permute_axes(t23(), (0, "1")), DimensionError, id="permute-str-axis"),
         row(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, 0, 2), ConfigError, id="plan-zero-heads"),
-        row(lambda: L.scaled_dot_attention(q(), q(), q(), 2.0), DimensionError, id="attention-float-heads"),
+        row(lambda: L.multi_head_attention(q(), attention_params(), 2.0), DimensionError, id="attention-float-heads"),
         row(lambda: T.Tensor(np.array([1j])), DomainError, id="tensor-complex"),
         row(lambda: T.Tensor(np.ones(3), dtype=np.int32), ConfigError, id="tensor-int-dtype"),
         row(lambda: M.cnn_block(T.Tensor(np.ones((1, 1, 4, 4, 4))), cnn_block(), "bn_relu"), ConfigError,
             id="cnn-block-bn-relu"),
-        row(lambda: L.conv3d(x4(), conv(bias_len=3)), DimensionError, id="conv-bias-length"),
-        row(lambda: L.conv3d(x4(), conv(weight_shape=(2, 1, 3, 3))), DimensionError, id="conv-4d-kernel"),
-        row(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn(3)), DimensionError,
-            id="batchnorm-running-stats-length", match="batchnorm3d running_mean"),
-        row(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn(3, training=True)), DimensionError,
-            id="batchnorm-train-running-stats-length"),
+        row(lambda: L.conv_relu_bn_pool(x4(), conv(weight_shape=(2, 1, 3, 3)), bn(2)), DimensionError,
+            id="conv-relu-bn-pool-4d-kernel", match="conv_relu_bn_pool"),
         row(lambda: L.softmax(T.Tensor(np.float64(1.0))), DimensionError, id="softmax-0d"),
         row(
             lambda: M.build_model(CFG).forward(T.Tensor(np.ones((1, 1, 8, 8, 8), np.float32)), training="eval"),
             ConfigError,
             id="forward-str-training",
         ),
-        row(lambda: L.scaled_dot_attention(q(), q(), q(), True), DimensionError, id="attention-bool-heads"),
+        row(lambda: L.multi_head_attention(q(), attention_params(), True), DimensionError, id="attention-bool-heads"),
+        row(lambda: L.multi_head_attention(q(), attention_params(), 0), DimensionError, id="attention-zero-heads"),
         row(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, True, 2), ConfigError, id="plan-bool-heads"),
         row(lambda: S.plan_spt((16, 16, 16), 1, 2, 8, 1, 2.0, 2), ConfigError, id="plan-float-heads"),
         row(lambda: S.plan_spt((16, 16, 16), 1, 2, 0, 1, 2, 2), ConfigError, id="plan-zero-embed-dim"),
@@ -130,16 +131,13 @@ def f64():
         row(lambda: T.reshape(t23(), (True, 6)), DimensionError, id="reshape-bool-extent"),
         row(lambda: T.permute_axes(t23(), (True, 0)), DimensionError, id="permute-bool-axis"),
         row(lambda: T.concat([t23(), t23()], axis=True), DimensionError, id="concat-bool-axis"),
-        row(lambda: T.backward(T.tsum(L.conv3d(x4(), conv(bias_len=1, requires_grad=True)))),
-            DimensionError, id="conv-bias-length-1"),
         row(lambda: fused_cnn_block_gamma(3), DimensionError, id="fused-cnn-block-gamma-length",
             match="conv_relu_bn_pool gamma"),
-        row(lambda: L.conv3d(x4d(), conv()), DimensionError, id="conv-4d-input"),
-        row(lambda: L.maxpool3d(x4d()), DimensionError, id="maxpool-4d-input"),
-        row(lambda: L.batchnorm3d(x4d(), bn(2)), DimensionError, id="batchnorm-4d-input"),
+        row(lambda: L.conv_relu_bn_pool(x4d(), conv(), bn(2)), DimensionError, id="conv-relu-bn-pool-4d-input",
+            match="conv_relu_bn_pool"),
+        row(lambda: L.conv_relu_bn_pool(T.Tensor(np.ones((1, 1, 1, 1, 1))), conv(), bn(2, training=True)),
+            DimensionError, id="conv-relu-bn-pool-train-one-element-per-channel", match=">= 2 elements"),
         row(lambda: L.global_avg_pool(x4d()), DimensionError, id="global-avg-pool-4d-input"),
-        row(lambda: L.batchnorm3d(T.Tensor(np.ones((1, 2, 2, 2, 2))), bn_gamma(3)), DimensionError,
-            id="batchnorm-gamma-length", match="batchnorm3d gamma"),
         row(lambda: L.conv_relu_bn_pool(x4(), conv(bias_len=3), bn(2)), DimensionError,
             id="conv-relu-bn-pool-bias-length", match="bias"),
         row(lambda: L.conv_relu_bn_pool(x4(), conv(bias_len=1), bn(2)), DimensionError,
@@ -178,3 +176,28 @@ def test_every_raise_in_the_package_names_a_taxonomy_class():
     raw = [f"{name}:{node.lineno}" for name, node in raises
            if not isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name) or exc.id not in taxonomy]
     assert raises and not raw, f"raises outside the errors.py taxonomy: {raw}"
+
+
+def test_every_public_layer_function_runs_in_the_package():
+    # `layers` keeps only what the model runs. The tests' reference layers live in tests/reference.py and
+    # see gldn only through public names, so they share no private helper with the nodes they check.
+    package = Path(errors.__file__).parent
+    layers_tree = ast.parse((package / "layers.py").read_text())
+    public = [node.name for node in layers_tree.body if isinstance(node, ast.FunctionDef) and node.name[0] != "_"]
+    called = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if path.name == "layers.py" and isinstance(top, ast.FunctionDef) else None
+            called |= {name for node in ast.walk(top) if isinstance(node, ast.Call)
+                       and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) != own}
+    uncalled = [name for name in public if name not in called]
+    assert public and not uncalled, f"public functions of layers.py that the package never calls: {uncalled}"
+
+    reference = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    imports = [node for node in ast.walk(reference)
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "gldn"]
+    private = [f"{node.module}.{alias.name}" for node in imports for alias in node.names if alias.name[0] == "_"]
+    modules = {alias.asname or alias.name for node in imports if node.module == "gldn" for alias in node.names}
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(reference) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id in modules and node.attr[0] == "_"]
+    assert modules and not private, f"tests/reference.py reads private names of gldn: {private}"

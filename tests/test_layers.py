@@ -1,4 +1,5 @@
-"""Layer ops: spec'd shape/value cases, brute-force oracles, gradient checks."""
+"""Layer nodes: spec'd shape/value cases, brute-force oracles, gradient checks, and each node against the
+independent float64 reference layers of `reference.py`."""
 
 import contextlib
 import gc
@@ -6,12 +7,12 @@ import math
 import tracemalloc
 import weakref
 from collections import Counter
-from itertools import product
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import reference as R
 from gldn import layers as L
 from gldn import tensor as T
 from gldn.errors import DimensionError, NumericsError
@@ -30,6 +31,17 @@ def conv_params(c_out, c_in, rng=None, dtype=np.float64):
     return L.Conv3dParams(
         weight=Tensor(w.astype(dtype), requires_grad=True),
         bias=Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True),
+    )
+
+
+def bn_state(c, dtype=np.float64, training=True):
+    """gamma 1, beta 0, running mean 0 and running variance 1."""
+    return L.BatchNorm3dState(
+        gamma=Tensor(np.ones(c, dtype=dtype), requires_grad=True),
+        beta=Tensor(np.zeros(c, dtype=dtype), requires_grad=True),
+        running_mean=np.zeros(c, dtype=dtype),
+        running_var=np.ones(c, dtype=dtype),
+        training=training,
     )
 
 
@@ -56,27 +68,29 @@ def conv3d_bruteforce(x, w, b):
 
 
 class TestConv3d:
+    """The node's conv on spec'd cases, and the reference conv against the nested-loop oracle."""
+
     def test_zero_kernel_annihilates(self):
         x = Tensor(np.random.default_rng(0).normal(size=(1, 2, 4, 4, 4)).astype(np.float32))
-        out = L.conv3d(x, conv_params(3, 2, dtype=np.float32))
+        out = L.conv_relu_bn_pool(x, conv_params(3, 2, dtype=np.float32), bn_state(3, np.float32, training=False))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_ones_kernel_counts_neighbors(self):
         x = Tensor(np.ones((1, 1, 2, 2, 2), dtype=np.float64))
         p = conv_params(1, 1)
         p.weight.data[:] = 1.0
-        out = L.conv3d(x, p)
-        # every voxel of a 2x2x2 cube has all 8 cube voxels in its 3^3 window
-        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2, 2), 8.0))
+        out = L.conv_relu_bn_pool(x, p, bn_state(1, training=False))
+        # every voxel of a 2x2x2 cube has all 8 cube voxels in its 3^3 window; eval BatchNorm divides by sqrt(1 + EPS)
+        np.testing.assert_allclose(out.data, np.full((1, 1, 1, 1, 1), 8.0 / np.sqrt(1.0 + L.EPS)), rtol=1e-15)
 
     def test_paper_channel_shape(self):
         x = Tensor(np.zeros((2, 16, 8, 12, 8), dtype=np.float32))
-        out = L.conv3d(x, conv_params(32, 16, dtype=np.float32))
-        assert out.shape == (2, 32, 8, 12, 8)
+        out = L.conv_relu_bn_pool(x, conv_params(32, 16, dtype=np.float32), bn_state(32, np.float32, training=False))
+        assert out.shape == (2, 32, 4, 6, 4)
 
     def test_channel_mismatch(self):
-        with pytest.raises(DimensionError, match="channel"):
-            L.conv3d(Tensor(np.zeros((1, 3, 4, 4, 4))), conv_params(2, 4))
+        with pytest.raises(DimensionError, match="conv_relu_bn_pool channel"):
+            L.conv_relu_bn_pool(Tensor(np.zeros((1, 3, 4, 4, 4))), conv_params(2, 4), bn_state(2))
 
     def test_matches_bruteforce_random(self):
         rng = np.random.default_rng(7)
@@ -85,9 +99,10 @@ class TestConv3d:
             D, H, W = (int(v) for v in rng.integers(1, 6, size=3))
             x = rng.normal(size=(B, Cin, D, H, W))
             p = conv_params(Cout, Cin, rng)
-            out = L.conv3d(Tensor(x), p)
+            p.bias.data[:] = rng.normal(size=Cout)
+            out = R.conv3d(Tensor(x), p)
             want = conv3d_bruteforce(x, p.weight.data, p.bias.data)
-            np.testing.assert_allclose(out.data, want, atol=1e-5)
+            np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
     def test_grad_check(self):
         rng = np.random.default_rng(8)
@@ -95,139 +110,127 @@ class TestConv3d:
         p = conv_params(2, 2, rng)
 
         def f(x, w, b):
-            return (L.conv3d(x, L.Conv3dParams(w, b)) * 0.7).sum()
+            return (R.conv3d(x, L.Conv3dParams(w, b)) * 0.7).sum()
 
         for res in grad_check(f, [x, p.weight, p.bias], tol=1e-6):
             assert res.passed, res
 
 
-def conv3d_taps_reference(x, w, b, g):
-    """27 shifted tensordot accumulations: forward output and (dx, dw, db) for `g`."""
-    B, Cin, D, H, W = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-    acc = np.zeros((w.shape[0], B, D, H, W), dtype=x.dtype)
-    dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
-    for i, j, k in product(range(3), range(3), range(3)):
-        view = xp[:, :, i : i + D, j : j + H, k : k + W]
-        acc += np.tensordot(w[:, :, i, j, k], view, axes=(1, 1))
-        dw[:, :, i, j, k] = np.tensordot(g, view, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-        spread = np.tensordot(w[:, :, i, j, k], g, axes=(0, 1))
-        dxp[:, :, i : i + D, j : j + H, k : k + W] += spread.transpose(1, 0, 2, 3, 4)
-    out = acc.transpose(1, 0, 2, 3, 4) + b.reshape(1, -1, 1, 1, 1)
-    return out, dxp[:, :, 1:-1, 1:-1, 1:-1], dw, g.sum(axis=(0, 2, 3, 4))
-
-
 def bound_for_slab_depth(monkeypatch, x_shape, itemsize, depth):
-    """Set the chunk byte bound so each slab of an input of `x_shape` holds `depth` planes."""
+    """Set the chunk byte bound so each slab of an input of `x_shape` holds `depth` conv planes, `depth` / 2
+    pooled ones."""
     B, Cin, _, H, W = x_shape
     monkeypatch.setattr(L, "_CHUNK_BYTES", depth * 27 * Cin * B * H * W * itemsize)
 
 
-def forward_slabs(monkeypatch, x, p):
-    """The depth ranges [d0, d1) one conv3d forward unfolds, in order."""
+def conv_slabs(monkeypatch, fn):
+    """The conv depth ranges [d0, d1) that `fn()` computes, in order: a recorded forward's, then its
+    backward's."""
     seen = []
-    cols = L._cols
+    conv_slab = L._conv_slab
 
-    def recording(xp, d0, d1):
+    def recording(wm, xp, d0, d1):
         seen.append((d0, d1))
-        return cols(xp, d0, d1)
+        return conv_slab(wm, xp, d0, d1)
 
     with monkeypatch.context() as m:
-        m.setattr(L, "_cols", recording)
-        L.conv3d(x, p)
+        m.setattr(L, "_conv_slab", recording)
+        fn()
     return seen
 
 
+def block_results(block, x, conv, bn, coeff):
+    """Output, the grads of x, the kernel, the bias, gamma and beta for the loss sum(out * coeff), and the
+    running statistics after the forward."""
+    out = block(x, conv, bn)
+    backward((out * coeff).sum())
+    grads = [None if t.grad is None else t.grad.copy() for t in (x, conv.weight, conv.bias, bn.gamma, bn.beta)]
+    return [out.data, *grads, bn.running_mean.copy(), bn.running_var.copy()]
+
+
+def cnn_tolerance(dtype):
+    """The node against the float64 reference: float32 normalizes float32 pooled voxels and sums float32 GEMMs."""
+    return 1e-12 if dtype == np.float64 else 2e-6
+
+
+BLOCK_RESULTS = ("out", "dx", "dw", "db", "dgamma", "dbeta", "mean", "var")
+
+
+def assert_block_matches_the_reference(got, want, dtype):
+    assert len(got) == len(want)
+    for name, a, ref in zip(BLOCK_RESULTS, got, want):
+        if a is None:
+            continue
+        assert a.dtype == dtype, name
+        R.assert_close([a], [ref], cnn_tolerance(dtype), name)
+
+
 class TestConv3dSlabs:
-    """The slab im2col/col2im path against the 27-tap reference, across slab edges."""
+    """The node's slab im2col/col2im path against the reference, across slab edges."""
 
     @pytest.mark.parametrize("c_in", [1, 5])
     def test_float32_matches_tap_reference(self, monkeypatch, c_in):
         rng = np.random.default_rng(20 + c_in)
-        shape = (3, c_in, 7, 4, 5)
-        bound_for_slab_depth(monkeypatch, shape, 4, 3)
-        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-        p = conv_params(4, c_in, rng, dtype=np.float32)
-        assert [d1 - d0 for d0, d1 in forward_slabs(monkeypatch, x, p)] == [3, 3, 1]
-        p.bias.data[:] = rng.normal(size=4)
-        g = rng.normal(size=(3, 4, 7, 4, 5)).astype(np.float32)
-        out = L.conv3d(x, p)
-        backward((out * Tensor(g)).sum())
-        want = conv3d_taps_reference(x.data, p.weight.data, p.bias.data, g)
-        got = (out.data, x.grad, p.weight.grad, p.bias.grad)
-        for name, a, ref in zip(("out", "dx", "dw", "db"), got, want):
-            assert a.dtype == np.float32, name
-            err = np.abs(a - ref).max()
-            assert err <= 1e-5 * np.abs(ref).max(), (name, err)
+        x, conv, bn = cnn_block_case(rng, np.float32, True, shape=(3, c_in, 10, 4, 6))
+        coeff = rng.normal(size=(3, 4, 5, 2, 3))
+        want = block_results(R.cnn_block, *R.float64_copies(x, conv, bn), coeff)
+        bound_for_slab_depth(monkeypatch, x.shape, 4, 4)
+        got = []
+        seen = conv_slabs(monkeypatch, lambda: got.extend(block_results(L.conv_relu_bn_pool, x, conv, bn, coeff)))
+        assert [d1 - d0 for d0, d1 in seen] == [4, 4, 2] * 2
+        assert_block_matches_the_reference(got, want, np.float32)
 
     def test_grad_check_across_slab_boundary(self, monkeypatch):
         rng = np.random.default_rng(30)
-        x = t64(rng.normal(size=(2, 2, 3, 3, 2)))
-        bound_for_slab_depth(monkeypatch, x.shape, 8, 2)
-        p = conv_params(3, 2, rng)
-        assert forward_slabs(monkeypatch, x, p) == [(0, 2), (2, 3)]
-        coeff = rng.normal(size=(2, 3, 3, 3, 2))
+        x, conv, bn = cnn_block_case(rng, np.float64, True, shape=(2, 2, 6, 4, 2), c_out=3)
+        bound_for_slab_depth(monkeypatch, x.shape, 8, 4)
+        assert conv_slabs(monkeypatch, lambda: L.conv_relu_bn_pool(x, conv, bn)) == [(0, 4), (4, 6)]
+        coeff = rng.normal(size=(2, 3, 3, 2, 1))
 
-        def f(x, w, b):
-            return (L.conv3d(x, L.Conv3dParams(w, b)) * coeff).sum()
+        def f(x, w, b, gamma, beta):
+            s = L.BatchNorm3dState(gamma, beta, bn.running_mean, bn.running_var, training=True)
+            return (L.conv_relu_bn_pool(x, L.Conv3dParams(w, b), s) * coeff).sum()
 
-        for res in grad_check(f, [x, p.weight, p.bias], tol=1e-6):
+        for res in grad_check(f, [x, conv.weight, conv.bias, bn.gamma, bn.beta], tol=1e-6):
             assert res.passed, res
-
 
     def test_constant_input_skips_dx(self):
         rng = np.random.default_rng(40)
-        x = Tensor(rng.normal(size=(2, 1, 5, 4, 3)).astype(np.float32))
-        p = conv_params(3, 1, rng, dtype=np.float32)
-        p.bias.data[:] = rng.normal(size=3)
-        g = rng.normal(size=(2, 3, 5, 4, 3)).astype(np.float32)
-        out = L.conv3d(x, p)
-        assert out._node.backward_fn(g)[0] is None
-        backward((out * Tensor(g)).sum())
-        _, _, dw, db = conv3d_taps_reference(x.data, p.weight.data, p.bias.data, g)
-        for name, a, ref in (("dw", p.weight.grad, dw), ("db", p.bias.grad, db)):
-            assert np.abs(a - ref).max() <= 1e-5 * np.abs(ref).max(), name
-
-
-class TestRelu:
-    def test_sign_cases(self):
-        out = L.relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-
-    def test_idempotent(self):
-        x = Tensor(np.random.default_rng(0).normal(size=50))
-        once = L.relu(x)
-        np.testing.assert_array_equal(L.relu(once).data, once.data)
-
-    def test_grad_at_sides(self):
-        x = t64([2.0, -1.0])
-        backward(L.relu(x).sum())
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
-        (res,) = grad_check(lambda t: L.relu(t).sum(), [t64([2.0, -1.0, 0.5])], tol=1e-6)
-        assert res.passed
+        x, conv, bn = cnn_block_case(rng, np.float32, True, shape=(2, 1, 6, 4, 2), c_out=3)
+        x = Tensor(x.data)
+        coeff = rng.normal(size=(2, 3, 3, 2, 1))
+        want = block_results(R.cnn_block, *R.float64_copies(x, conv, bn), coeff)
+        out = L.conv_relu_bn_pool(x, conv, bn)
+        assert out._node.backward_fn(np.ones(out.shape, np.float32))[0] is None
+        backward((out * coeff).sum())
+        assert x.grad is None
+        got = [out.data, None, conv.weight.grad, conv.bias.grad, bn.gamma.grad, bn.beta.grad]
+        assert_block_matches_the_reference(got, want[:6], np.float32)
 
 
 class TestMaxPool3d:
+    """The reference pool, the oracle of the node's window max and first-argmax routing, and the node's
+    extent check."""
+
     def test_constant_volume(self):
-        out = L.maxpool3d(Tensor(np.full((1, 2, 4, 4, 4), 3.5, dtype=np.float32)))
+        out = R.maxpool3d(Tensor(np.full((1, 2, 4, 4, 4), 3.5, dtype=np.float32)))
         np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2, 2), 3.5))
 
     def test_window_max(self):
         x = Tensor(np.arange(1.0, 9.0).reshape(1, 1, 2, 2, 2))
-        assert L.maxpool3d(x).item() == 8.0
+        assert R.maxpool3d(x).item() == 8.0
 
     def test_shape_contract(self):
-        assert L.maxpool3d(Tensor(np.zeros((1, 1, 4, 4, 4)))).shape == (1, 1, 2, 2, 2)
+        assert R.maxpool3d(Tensor(np.zeros((1, 1, 4, 4, 4)))).shape == (1, 1, 2, 2, 2)
 
     def test_odd_extent_rejected(self):
         with pytest.raises(DimensionError, match="divisible"):
-            L.maxpool3d(Tensor(np.zeros((1, 1, 3, 4, 4))))
+            L.conv_relu_bn_pool(Tensor(np.zeros((1, 1, 3, 4, 4))), conv_params(1, 1), bn_state(1))
 
     def test_invariant_to_intra_window_permutation(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 1, 4, 4, 4))
-        base = L.maxpool3d(Tensor(x)).data
+        base = R.maxpool3d(Tensor(x)).data
         cube = x.reshape(1, 1, 2, 2, 2, 2, 2, 2).transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(-1, 8)
         shuffled = cube.copy()
         for row in shuffled:
@@ -237,14 +240,14 @@ class TestMaxPool3d:
             .transpose(0, 1, 2, 5, 3, 6, 4, 7)
             .reshape(1, 1, 4, 4, 4)
         )
-        np.testing.assert_array_equal(L.maxpool3d(Tensor(back)).data, base)
+        np.testing.assert_array_equal(R.maxpool3d(Tensor(back)).data, base)
 
     def test_grad_routes_to_first_argmax(self):
         data = np.zeros((1, 1, 2, 2, 2))
         data[0, 0, 0, 0, 0] = 5.0
         data[0, 0, 1, 1, 1] = 5.0  # tie: first flat index wins
         x = t64(data)
-        backward(L.maxpool3d(x).sum())
+        backward(R.maxpool3d(x).sum())
         want = np.zeros_like(data)
         want[0, 0, 0, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, want)
@@ -254,7 +257,7 @@ class TestMaxPool3d:
         # well-separated values so the finite-difference step cannot flip the argmax
         vals = rng.permutation(np.arange(64, dtype=np.float64)).reshape(1, 1, 4, 4, 4)
         x = t64(vals)
-        (res,) = grad_check(lambda t: (L.maxpool3d(t) * 0.3).sum(), [x], tol=1e-6)
+        (res,) = grad_check(lambda t: (R.maxpool3d(t) * 0.3).sum(), [x], tol=1e-6)
         assert res.passed, res
 
     @pytest.mark.parametrize(
@@ -288,13 +291,14 @@ class TestMaxPool3d:
             assert (data == 0).any() and not np.signbit(data).any()
         x = Tensor(data, requires_grad=True)
         with contextlib.nullcontext() if record else T.no_grad():
-            out = L.maxpool3d(x)
+            out = R.maxpool3d(x)
         g = rng.normal(size=out.shape).astype(dtype)
         g[..., 0] = -0.0
         want_out, want_dx = maxpool_transposed(data, g)
         pairs = [(out.data, want_out)]
         if record:
-            pairs.append((out._node.backward_fn(g)[0], want_dx))
+            backward((out * Tensor(g)).sum())
+            pairs.append((x.grad, want_dx))
         else:
             assert out._node is None
         for got, want in pairs:
@@ -303,7 +307,7 @@ class TestMaxPool3d:
 
 
 def maxpool_transposed(x, g):
-    """Max pool as it was before strided views (reference): (output, dx for `g`).
+    """Max pool by numpy's argmax over a copied 8-axis transpose: (output, dx for `g`).
 
     x is copied into an 8-axis transpose whose last axis holds each window;
     argmax keeps the first index on ties, and dx scatters g back through it.
@@ -321,19 +325,12 @@ def maxpool_transposed(x, g):
 
 
 class TestBatchNorm3d:
-    def bn_state(self, c, dtype=np.float64, training=True):
-        return L.BatchNorm3dState(
-            gamma=Tensor(np.ones(c, dtype=dtype), requires_grad=True),
-            beta=Tensor(np.zeros(c, dtype=dtype), requires_grad=True),
-            running_mean=np.zeros(c, dtype=dtype),
-            running_var=np.ones(c, dtype=dtype),
-            training=training,
-        )
+    """The reference BatchNorm: its affine map and its running-statistics update."""
 
     def test_train_normalizes(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(loc=3.0, scale=2.0, size=(2, 3, 4, 4, 4)))
-        out = L.batchnorm3d(x, self.bn_state(3)).data
+        out = R.batchnorm3d(x, bn_state(3)).data
         mean = out.mean(axis=(0, 2, 3, 4))
         var = out.var(axis=(0, 2, 3, 4))
         assert np.all(np.abs(mean) < 1e-5)
@@ -343,44 +340,38 @@ class TestBatchNorm3d:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 2, 4, 4, 4))
         x = (x - x.mean(axis=(0, 2, 3, 4), keepdims=True)) / x.std(axis=(0, 2, 3, 4), keepdims=True)
-        s = self.bn_state(2)
+        s = bn_state(2)
         s.gamma.data[:] = 2.0
         s.beta.data[:] = 3.0
-        out = L.batchnorm3d(Tensor(x), s).data
+        out = R.batchnorm3d(Tensor(x), s).data
         np.testing.assert_allclose(out.mean(axis=(0, 2, 3, 4)), 3.0, atol=1e-6)
         np.testing.assert_allclose(out.std(axis=(0, 2, 3, 4)), 2.0, rtol=1e-4)
 
     def test_eval_identity_stats(self):
         x = Tensor(np.random.default_rng(2).normal(size=(1, 2, 2, 2, 2)))
-        s = self.bn_state(2, training=False)
-        out = L.batchnorm3d(x, s)
+        out = R.batchnorm3d(x, bn_state(2, training=False))
         np.testing.assert_allclose(out.data, x.data, atol=1e-4)
-
-    def test_single_element_rejected(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            L.batchnorm3d(Tensor(np.ones((1, 2, 1, 1, 1))), self.bn_state(2))
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(3)
         x = rng.normal(loc=5.0, size=(4, 1, 4, 4, 4))
-        s = self.bn_state(1)
-        L.batchnorm3d(Tensor(x), s)
+        s = bn_state(1)
+        R.batchnorm3d(Tensor(x), s)
         n = x.size
         want_mean = 0.1 * x.mean()
         want_var = 0.9 + 0.1 * x.var() * n / (n - 1)
-        np.testing.assert_allclose(s.running_mean, want_mean, rtol=1e-5)
-        np.testing.assert_allclose(s.running_var, want_var, rtol=1e-5)
+        np.testing.assert_allclose(s.running_mean, want_mean, rtol=1e-12)
+        np.testing.assert_allclose(s.running_var, want_var, rtol=1e-12)
 
     def test_grad_check(self):
         rng = np.random.default_rng(4)
         x = t64(rng.normal(size=(2, 2, 2, 2, 2)))
-        s = self.bn_state(2)
+        s = bn_state(2)
+        coeff = np.random.default_rng(5).normal(size=(2, 2, 2, 2, 2))
 
         def f(x, g, b):
-            st = L.BatchNorm3dState(g, b, np.zeros(2), np.ones(2), training=True)
-            return (L.batchnorm3d(x, st) * rng2).sum()
+            return (R.batchnorm3d(x, L.BatchNorm3dState(g, b, np.zeros(2), np.ones(2), training=True)) * coeff).sum()
 
-        rng2 = np.random.default_rng(5).normal(size=(2, 2, 2, 2, 2))
         for res in grad_check(f, [x, s.gamma, s.beta], tol=1e-4):
             assert res.passed, res
 
@@ -406,21 +397,17 @@ def cnn_block_case(rng, dtype, training, shape=(2, 2, 6, 4, 6), c_out=4):
     return x, conv, bn
 
 
-def cnn_block_composed(x, conv, bn):
-    """The CNN block as four tape nodes (reference)."""
-    return L.maxpool3d(L.batchnorm3d(L.relu(L.conv3d(x, conv)), bn))
-
-
 class TestConvReluBnPool:
-    """The one-node CNN block against the composed `conv3d`, `relu`, `batchnorm3d` and `maxpool3d`."""
+    """The one-node CNN block against the reference's conv, relu, BatchNorm and pool, composed in float64."""
 
     def one_pooled_depth_per_slab(self, monkeypatch, x):
         B, c_in, _, H, W = x.shape
         monkeypatch.setattr(L, "_CHUNK_BYTES", 2 * 27 * c_in * B * H * W * x.data.itemsize)
 
     def assert_ties_at_zero(self, x, conv):
-        windows = np.stack(L._windows(L.relu(L.conv3d(x, conv)).data))  # [8, B, C, D/2, H/2, W/2]
-        zeros = (windows == 0).sum(axis=0)
+        y = R.relu(R.conv3d(x, conv)).data
+        B, C, D, H, W = y.shape
+        zeros = (y.reshape(B, C, D // 2, 2, H // 2, 2, W // 2, 2) == 0).sum(axis=(3, 5, 7))  # per window
         assert (zeros[:, 1] == 8).mean() > 0.3  # channel 1: windows of relu zeros only
         assert (zeros[:, 0] >= 2).mean() > 0.3  # gamma < 0: the kept minimum is a tie at 0
 
@@ -428,28 +415,16 @@ class TestConvReluBnPool:
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_the_composed_block(self, monkeypatch, dtype, training, slabs):
+        x, conv, bn = cnn_block_case(np.random.default_rng(71), dtype, training)
+        self.assert_ties_at_zero(x, conv)
+        coeff = np.random.default_rng(72).normal(size=(2, 4, 3, 2, 3))
+        want = block_results(R.cnn_block, *R.float64_copies(x, conv, bn), coeff)
         if slabs == 3:
-            self.one_pooled_depth_per_slab(monkeypatch, cnn_block_case(np.random.default_rng(71), dtype, training)[0])
-        results, forward_slabs = [], []
-        for block in (L.conv_relu_bn_pool, cnn_block_composed):
-            x, conv, bn = cnn_block_case(np.random.default_rng(71), dtype, training)
-            self.assert_ties_at_zero(x, conv)
-            with monkeypatch.context() as m:
-                m.setattr(L, "_conv_slab", lambda *a, f=L._conv_slab: forward_slabs.append(block) or f(*a))
-                out = block(x, conv, bn)
-            coeff = np.random.default_rng(72).normal(size=out.shape)
-            backward((out * coeff).sum())
-            leaves = (x, conv.weight, conv.bias, bn.gamma, bn.beta)
-            results.append([out.data, *(t.grad for t in leaves), bn.running_mean, bn.running_var])
-        assert forward_slabs.count(L.conv_relu_bn_pool) == slabs
-        (node, *node_rest), (ref, *ref_rest) = results
-        if not training:  # constant statistics: pooling first is exact
-            np.testing.assert_array_equal(node, ref)
-        tol = 1e-12 if dtype == np.float64 else 2e-6  # float32: float64 statistics against numpy's float32 ones
-        for name, a, want in zip(("out", "dx", "dw", "db", "dgamma", "dbeta", "mean", "var"), [node, *node_rest],
-                                 [ref, *ref_rest]):
-            assert a.dtype == dtype and a.shape == want.shape, name
-            assert np.abs(a - want).max() <= tol * np.abs(want).max(), name
+            self.one_pooled_depth_per_slab(monkeypatch, x)
+        got = []
+        seen = conv_slabs(monkeypatch, lambda: got.extend(block_results(L.conv_relu_bn_pool, x, conv, bn, coeff)))
+        assert len(seen) == 2 * slabs
+        assert_block_matches_the_reference(got, want, dtype)
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_grad_check_across_slabs(self, monkeypatch, training):
@@ -485,17 +460,13 @@ class TestConvReluBnPool:
         w = np.zeros((1, 1, 3, 3, 3), np.float32)
         w[0, 0, 1, 1, 1] = 1.0
         conv = L.Conv3dParams(Tensor(w, requires_grad=True), Tensor(np.zeros(1, np.float32), requires_grad=True))
-        one, zero = np.ones(1, np.float32), np.zeros(1, np.float32)
-        bn = L.BatchNorm3dState(Tensor(one, requires_grad=True), Tensor(zero, requires_grad=True), zero.copy(),
-                                one.copy(), training=True)
-        return Tensor(x), conv, bn
+        return Tensor(x), conv, bn_state(1, np.float32)
 
     def test_non_finite_batch_statistics_raise_before_the_running_ones_change(self):
         # 3e19: float32 holds the variance (9.8e37) but not the squares, so float32 statistics overflow
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.square(np.float32(3e19)))
         x, conv, bn = self.overflow_case(3e19)
-        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="statistics in forward op normalize"):
-            cnn_block_composed(x, conv, bn)
-        assert (bn.running_mean, bn.running_var) == (0, 1)
         out = L.conv_relu_bn_pool(x, conv, bn)  # float64 statistics
         xhat = (3e19 - 3.75e18) / np.sqrt((8 * 3e19**2 + 56) / 64 - 3.75e18**2)  # every window keeps 3e19
         np.testing.assert_allclose(out.data, xhat, rtol=1e-6)
@@ -504,30 +475,6 @@ class TestConvReluBnPool:
         with pytest.raises(NumericsError, match="statistics in forward op conv_relu_bn_pool"):
             L.conv_relu_bn_pool(x, conv, bn)
         assert (bn.running_mean, bn.running_var) == (0, 1)
-
-
-def batchnorm_composite(x, s):
-    """BatchNorm as the tensor-op composite it was before `normalize` (reference)."""
-    C = x.shape[1]
-    axes = (0, 2, 3, 4)
-    if s.training:
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        xhat = centered / T.sqrt(var + L.EPS)
-    else:
-        rm = Tensor(s.running_mean.reshape(1, C, 1, 1, 1), dtype=x.dtype)
-        rv = Tensor(s.running_var.reshape(1, C, 1, 1, 1), dtype=x.dtype)
-        xhat = (x - rm) / T.sqrt(rv + L.EPS)
-    return xhat * T.reshape(s.gamma, (1, C, 1, 1, 1)) + T.reshape(s.beta, (1, C, 1, 1, 1))
-
-
-def layer_norm_composite(x, gamma, beta):
-    """LayerNorm as the tensor-op composite it was before `normalize` (reference)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / T.sqrt(var + L.EPS) * gamma + beta
 
 
 def tape_ops(out):
@@ -544,89 +491,6 @@ def tape_ops(out):
 def tape_nodes(out):
     """Number of tape nodes that `out` depends on."""
     return sum(tape_ops(out).values())
-
-
-def bn_case(rng, training, dtype=np.float32):
-    c = 4
-    s = L.BatchNorm3dState(
-        gamma=Tensor(rng.uniform(0.5, 2.0, size=c).astype(dtype), requires_grad=True),
-        beta=Tensor(rng.normal(size=c).astype(dtype), requires_grad=True),
-        running_mean=rng.normal(size=c).astype(dtype),
-        running_var=rng.uniform(0.5, 3.0, size=c).astype(dtype),
-        training=training,
-    )
-    x = Tensor(rng.normal(loc=2.0, scale=3.0, size=(3, c, 5, 6, 7)).astype(dtype), requires_grad=True)
-    return x, s
-
-
-class TestNormalize:
-    """The one normalization primitive against the composites it replaced."""
-
-    def run(self, fn, x, params, g):
-        for t in (x,) + params:
-            t.zero_grad()
-        out = fn()
-        backward((out * Tensor(g)).sum())
-        return out, [out.data, x.grad.copy()] + [p.grad.copy() for p in params]
-
-    @pytest.mark.parametrize("case", ["bn_train", "bn_eval", "ln"])
-    def test_float32_matches_composite(self, case):
-        rng = np.random.default_rng(50)
-        if case == "ln":
-            x = Tensor(rng.normal(loc=1.0, scale=2.0, size=(6, 9, 16)).astype(np.float32), requires_grad=True)
-            gamma = Tensor(rng.uniform(0.5, 2.0, size=16).astype(np.float32), requires_grad=True)
-            beta = Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True)
-            params = (gamma, beta)
-            new, ref = (lambda: L.layer_norm(x, gamma, beta)), (lambda: layer_norm_composite(x, gamma, beta))
-            nodes = 1
-        else:
-            x, s = bn_case(rng, training=case == "bn_train")
-            params = (s.gamma, s.beta)
-            new, ref = (lambda: L.batchnorm3d(x, s)), (lambda: batchnorm_composite(x, s))
-            nodes = 3  # normalize plus the gamma and beta reshapes
-        g = rng.normal(size=x.shape).astype(np.float32)
-        out, got = self.run(new, x, params, g)
-        assert tape_nodes(out) == nodes
-        _, want = self.run(ref, x, params, g)
-        for name, a, r in zip(("out", "dx", "dgamma", "dbeta"), got, want):
-            assert a.dtype == np.float32, name
-            err = np.abs(a - r).max()
-            assert err <= 1e-5 * np.abs(r).max(), (name, err)
-
-    def test_axis_out_of_range(self):
-        x = Tensor(np.ones((2, 3, 4), dtype=np.float32))
-        gamma, beta = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
-        for axes in ((5,), (-4,), (0, 3)):
-            with pytest.raises(DimensionError, match="out of range"):
-                L.normalize(x, gamma, beta, axes)
-
-    def test_grad_check_bn_eval(self):
-        rng = np.random.default_rng(51)
-        x, s = bn_case(rng, training=False, dtype=np.float64)
-        x = t64(x.data[:2, :, :2, :3, :2])
-        coeff = rng.normal(size=x.shape)
-
-        def f(x, g, b):
-            st = L.BatchNorm3dState(g, b, s.running_mean, s.running_var, training=False)
-            return (L.batchnorm3d(x, st) * coeff).sum()
-
-        for res in grad_check(f, [x, s.gamma, s.beta], tol=1e-6):
-            assert res.passed, res
-
-    def test_grad_check_bn_eval_one_voxel(self):
-        # gamma's [1, C, 1, 1, 1] is x's own shape, so dgamma is not a sum of
-        # the buffer that backward goes on to overwrite with dx
-        rng = np.random.default_rng(52)
-        x, s = bn_case(rng, training=False, dtype=np.float64)
-        x = t64(x.data[:1, :, :1, :1, :1])
-        coeff = rng.normal(size=x.shape)
-
-        def f(x, g, b):
-            st = L.BatchNorm3dState(g, b, s.running_mean, s.running_var, training=False)
-            return (L.batchnorm3d(x, st) * coeff).sum()
-
-        for res in grad_check(f, [x, s.gamma, s.beta], tol=1e-6):
-            assert res.passed, res
 
 
 class TestLinear:
@@ -685,6 +549,19 @@ class TestLayerNorm:
         for res in grad_check(lambda x, g, b: (L.layer_norm(x, g, b) * coeff).sum(), [x, g, b], tol=1e-4):
             assert res.passed, res
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)], ids=["float32", "float64"])
+    def test_matches_the_reference(self, dtype, tol):
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(loc=1.0, scale=2.0, size=(6, 9, 16)).astype(dtype), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 2.0, size=16).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.normal(size=16).astype(dtype), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        assert tape_nodes(L.layer_norm(x, gamma, beta)) == 1
+        want = sublayer_results(R.layer_norm, [R.float64_leaf(t) for t in (x, gamma, beta)], g)
+        got = sublayer_results(L.layer_norm, [x, gamma, beta], g)
+        assert all(a.dtype == dtype for a in got)
+        R.assert_close(got, want, tol)
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -740,46 +617,35 @@ class TestSoftmax:
         assert rule <= 1.5 * y.data.nbytes, rule / y.data.nbytes
 
 
+def gelu_by_feed_forward(x, requires_grad=True):
+    """GELU of the entries of ndarray x, as [N, 1], through `feed_forward` with 1 x 1 identity weights and
+    zero biases. Its products and bias adds are exact, so the values are those of the node's `_gelu_cdf`
+    and, in backward, `_gelu_slope`."""
+    w, b = np.ones((1, 1), x.dtype), np.zeros(1, x.dtype)
+    return L.feed_forward(*(Tensor(a, requires_grad=requires_grad) for a in (x.reshape(-1, 1), w, b, w, b)))
+
+
 class TestGelu:
+    """`feed_forward`'s GELU, read through identity weights, and the reference's."""
+
     def test_known_values(self):
         # gelu(0) = 0, gelu(x) -> x for large x, -> 0 for very negative x
-        out = L.gelu(Tensor([0.0, 10.0, -10.0], dtype=np.float64)).data
-        np.testing.assert_allclose(out, [0.0, 10.0, 0.0], atol=1e-6)
+        out = gelu_by_feed_forward(np.array([0.0, 10.0, -10.0])).data
+        np.testing.assert_allclose(out, [[0.0], [10.0], [0.0]], atol=1e-6)
 
     def test_grad_check(self):
         x = t64(np.random.default_rng(0).normal(size=8))
-        (res,) = grad_check(lambda t: L.gelu(t).sum(), [x], tol=1e-6)
+        (res,) = grad_check(lambda t: R.gelu(t).sum(), [x], tol=1e-6)
         assert res.passed, res
 
     def test_float64_is_the_erf_formula(self):
-        x = np.random.default_rng(6).normal(scale=3.0, size=(16, 64))
-        want = np.array([0.5 * v * (1 + math.erf(v / L.SQRT2)) for v in x.ravel()]).reshape(x.shape)
-        got = L.gelu(Tensor(x)).data
-        assert got.tobytes() == want.tobytes()
+        x = np.random.default_rng(6).normal(scale=3.0, size=16 * 64)
+        want = np.array([0.5 * v * (1 + math.erf(v / L.SQRT2)) for v in x])
+        got = gelu_by_feed_forward(x).data.reshape(-1)
+        np.testing.assert_array_equal(got, want)  # as values: the bias add turns an underflowed -0.0 into +0.0
         # math.erf against scipy's, an independent implementation
         err = np.abs(got - 0.5 * x * (1 + erf(x / L.SQRT2)))
         assert (err <= 1e-15 * np.maximum(1.0, np.abs(x))).all(), err.max()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
-    def test_zero_dim(self, record, dtype):
-        t = Tensor(np.array([0.3, 0.4], dtype=dtype), requires_grad=True)
-        with contextlib.nullcontext() if record else T.no_grad():
-            out = L.gelu(T.tsum(t))
-        v = float(t.data.sum())
-        cdf = 0.5 * (1 + math.erf(v / math.sqrt(2)))
-        tol = 1e-6 if dtype == np.float32 else 1e-15
-        assert out.shape == () and out.dtype == dtype
-        assert abs(float(out.data) - v * cdf) <= tol
-        if record:
-            backward(out)
-            slope = cdf + v * math.exp(-0.5 * v * v) / math.sqrt(2 * math.pi)
-            np.testing.assert_allclose(t.grad, [slope, slope], rtol=tol)
-
-    def test_grad_check_zero_dim(self):
-        x = t64(np.random.default_rng(7).normal(size=3))
-        (res,) = grad_check(lambda t: L.gelu(T.tsum(t)), [x], tol=1e-6)
-        assert res.passed, res
 
     @pytest.mark.parametrize("record", [True, False], ids=["record", "no_grad"])
     def test_float32_matches_float64_formula(self, record):
@@ -790,25 +656,17 @@ class TestGelu:
         cdf = 0.5 * (1 + erf(x / L.SQRT2))
         want_out = x * cdf
         want_slope = cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
-        t = Tensor(x32, requires_grad=True)
         with contextlib.nullcontext() if record else T.no_grad():
-            out = L.gelu(t)
+            out = gelu_by_feed_forward(x32)
         assert out.dtype == np.float32
         bound = 1e-6 * np.maximum(1.0, np.abs(x))
-        pairs = [(out.data, want_out)]
+        pairs = [(out.data.reshape(-1), want_out)]
         if record:
-            pairs.append((out._node.backward_fn(np.ones_like(x32))[0], want_slope))
+            pairs.append((out._node.backward_fn(np.ones(out.shape, np.float32))[0].reshape(-1), want_slope))
         for got, want in pairs:
+            assert got.dtype == np.float32
             err = np.abs(got.astype(np.float64) - want)
             assert (err <= bound).all(), (err / bound).max()
-
-    def test_keeps_only_its_slope(self):
-        # the pre-activation is an op output whose own rule keeps nothing, so
-        # once dropped it lives only if gelu's node holds it
-        w = Tensor(np.random.default_rng(5).normal(size=(64, 1024)).astype(np.float32), requires_grad=True)
-        out, retained, _ = traced_bytes(lambda: L.gelu(w + 0.0))
-        extra = retained - out.data.nbytes
-        assert extra <= 1.1 * out.data.nbytes, extra / out.data.nbytes
 
 
 def attention_bruteforce(q, k, v):
@@ -824,28 +682,46 @@ def attention_bruteforce(q, k, v):
     return out
 
 
+def mha_params(d, rng=None, dtype=np.float64, identity=False):
+    def mk(shape):
+        if identity:
+            return Tensor(np.eye(shape[0], dtype=dtype), requires_grad=True)
+        return Tensor(rng.normal(scale=0.4, size=shape).astype(dtype), requires_grad=True)
+
+    zeros = lambda: Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
+    return L.AttentionParams(
+        wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), wo=mk((d, d)),
+        bq=zeros(), bv=zeros(), bo=zeros(),
+    )
+
+
 class TestScaledDotAttention:
+    """softmax(Q K^T / sqrt(d_k)) V as `multi_head_attention` runs it."""
+
     def test_single_token_returns_value(self):
-        rng = np.random.default_rng(0)
-        q, k, v = (Tensor(rng.normal(size=(1, 4))) for _ in range(3))
-        np.testing.assert_allclose(L.scaled_dot_attention(q, k, v, 1).data, v.data, rtol=1e-6)
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 4)))
+        out = L.multi_head_attention(x, mha_params(4, identity=True), 1)
+        np.testing.assert_allclose(out.data, x.data, rtol=1e-12)
 
     def test_zero_keys_average_values(self):
         rng = np.random.default_rng(1)
-        v = rng.normal(size=(5, 3)).astype(np.float32)
-        out = L.scaled_dot_attention(
-            Tensor(rng.normal(size=(5, 3)).astype(np.float32)),
-            Tensor(np.zeros((5, 3), dtype=np.float32)),
-            Tensor(v),
-            1,
-        )
-        np.testing.assert_allclose(out.data, np.broadcast_to(v.mean(axis=0), (5, 3)), atol=1e-6)
+        x = rng.normal(size=(5, 3)).astype(np.float32)
+        p = mha_params(3, dtype=np.float32, identity=True)
+        p.wq.data[:] = rng.normal(size=(3, 3))
+        p.wk.data[:] = 0.0
+        out = L.multi_head_attention(Tensor(x), p, 1)
+        np.testing.assert_allclose(out.data, np.broadcast_to(x.mean(axis=0), (5, 3)), atol=1e-6)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
-        q, k, v = (rng.normal(size=(3, 2)) for _ in range(3))
-        out = L.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), 1)
-        np.testing.assert_allclose(out.data, attention_bruteforce(q, k, v), atol=1e-6)
+        x = rng.normal(size=(3, 2))
+        p = mha_params(2, rng)
+        for b in (p.bq, p.bv, p.bo):
+            b.data[:] = rng.normal(size=2)
+        out = L.multi_head_attention(Tensor(x), p, 1)
+        wq, wk, wv, wo, bq, bv, bo = (t.data for t in (p.wq, p.wk, p.wv, p.wo, p.bq, p.bv, p.bo))
+        want = attention_bruteforce(x @ wq + bq, x @ wk, x @ wv + bv) @ wo + bo
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
     def test_weights_row_stochastic(self):
         rng = np.random.default_rng(3)
@@ -857,36 +733,19 @@ class TestScaledDotAttention:
 
     def test_key_bias_cancels(self):
         # q.(k_j + b) - q.k_j = q.b is the same for every key j of a row, so
-        # the softmax over keys removes it: a key bias has nothing to learn
+        # the softmax over keys removes it: a key bias has nothing to learn.
+        # x's constant first feature adds Wk's first row to every key.
         rng = np.random.default_rng(5)
-        q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        b = rng.normal(size=(1, 3))
-        shifted = L.scaled_dot_attention(Tensor(q), Tensor(k + b), Tensor(v), 1).data
-        base = L.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), 1).data
+        x = rng.normal(size=(4, 3))
+        x[:, 0] = 1.0
+        p = mha_params(3, rng)
+        shifted = L.multi_head_attention(Tensor(x), p, 1).data
+        p.wk.data[0] = 0.0
+        base = L.multi_head_attention(Tensor(x), p, 1).data
         np.testing.assert_allclose(shifted, base, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("shapes", [[(3, 4), (3, 4), (2, 4)], [(4,)] * 3], ids=["unequal", "rank1"])
-    def test_operands_must_be_equal_sequences(self, shapes):
-        with pytest.raises(DimensionError, match="equal"):
-            L.scaled_dot_attention(*(Tensor(np.ones(s)) for s in shapes), 1)
-
-    @pytest.mark.parametrize("heads", [4, 0])
-    def test_heads_must_split_width(self, heads):
-        q = Tensor(np.ones((3, 6)))
-        with pytest.raises(DimensionError, match="heads"):
-            L.scaled_dot_attention(q, q, q, heads)
-
-    def test_grad_check(self):
-        rng = np.random.default_rng(4)
-        q, k, v = (t64(rng.normal(size=(3, 2))) for _ in range(3))
-        coeff = rng.normal(size=(3, 2))
-        for res in grad_check(
-            lambda q, k, v: (L.scaled_dot_attention(q, k, v, 1) * coeff).sum(), [q, k, v], tol=1e-5
-        ):
-            assert res.passed, res
-
     def test_raw_scores_are_freed(self, monkeypatch):
-        # backward recomputes Q K^T, so no rule keeps it
+        # backward recomputes q, k, v and Q K^T, so of the forward's products only the output outlives it
         outputs = []
         matmul = L.matmul
 
@@ -897,36 +756,20 @@ class TestScaledDotAttention:
 
         monkeypatch.setattr(L, "matmul", recording_matmul)
         rng = np.random.default_rng(6)
-        q, k, v = (t64(rng.normal(size=(2, 4, 3))) for _ in range(3))
-        out = L.scaled_dot_attention(q, k, v, 1)
+        x = t64(rng.normal(size=(2, 4, 3)))
+        p = mha_params(3, rng)
+        out = L.multi_head_attention(x, p, 1)
         gc.collect()
-        assert outputs[0]() is None
+        assert len(outputs) == 6  # q, k, v, the scores, the weights times v, the output projection
+        assert [ref() is None for ref in outputs] == [True] * 5 + [False]
         backward(out.sum())
-        for t in (q, k, v):
+        for t in (x, p.wq, p.wk, p.wv, p.wo):
             assert np.any(t.grad != 0)
 
     def test_records_one_node(self):
         rng = np.random.default_rng(7)
-        q, k, v = (t64(rng.normal(size=(2, 4, 3))) for _ in range(3))
-        ops = tape_ops(L.scaled_dot_attention(q, k, v, 1))
-        assert ops == {"scaled_dot_attention": 1}
-
-
-def attention_composed(q, k, v):
-    """Attention as the tensor-op composite it was before the fused node (reference)."""
-    r = k.ndim
-    kt = T.permute_axes(k, tuple(range(r - 2)) + (r - 1, r - 2))
-    return T.matmul(L.softmax(T.matmul(q, kt) * float(1.0 / np.sqrt(q.shape[-1]))), v)
-
-
-def attention_per_head(q, k, v, heads):
-    """attention_composed on explicit head-split copies of [*, n, d] operands,
-    the heads concatenated back to [*, n, d] (reference)."""
-    *lead, n, d = q.shape
-    a = len(lead)
-    perm = tuple(range(a)) + (a + 1, a, a + 2)  # [*, n, h, d_k] <-> [*, h, n, d_k]
-    q, k, v = (T.permute_axes(T.reshape(t, (*lead, n, heads, d // heads)), perm) for t in (q, k, v))
-    return T.reshape(T.permute_axes(attention_composed(q, k, v), perm), (*lead, n, d))
+        x = t64(rng.normal(size=(2, 4, 3)))
+        assert tape_ops(L.multi_head_attention(x, mha_params(3, rng), 1)) == {"multi_head_attention": 1}
 
 
 def bound_for_chunk(monkeypatch, n, itemsize, g):
@@ -948,8 +791,23 @@ def traced_bytes(fn):
     return out, current - base, peak - base
 
 
+def sublayer_results(fn, leaves, g):
+    """fn(*leaves) and each leaf's grad of sum(out * g)."""
+    out = fn(*leaves)
+    backward((out * g).sum())
+    return [out.data, *(t.grad for t in leaves)]
+
+
+def assert_sublayer_matches_the_reference(leaves, node, reference, g, tol, name=""):
+    """The node on `leaves` against the reference on float64 copies: the output and every leaf's grad."""
+    want = sublayer_results(reference, [R.float64_leaf(t) for t in leaves], g)
+    got = sublayer_results(node, leaves, g)
+    assert all(a.dtype == leaves[0].dtype for a in got), name
+    R.assert_close(got, want, tol, name)
+
+
 class TestFusedAttention:
-    """The chunked node against the composed path, across chunk edges, and its memory."""
+    """The node's chunk loops across chunk edges, against the reference, and their memory."""
 
     def test_grad_check_across_chunk_edge(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -957,21 +815,20 @@ class TestFusedAttention:
         matmul = L.matmul
 
         def counting(a, b):
-            calls.append(len(a))  # sequences in this product
+            calls.append(a.shape[0])  # sequences in this product
             return matmul(a, b)
 
         monkeypatch.setattr(L, "matmul", counting)
         for heads in (1, 2, 4):
             shape = (5, 3, 2 * heads)  # d_k = 2
-            q, k, v = (t64(rng.normal(size=shape)) for _ in range(3))
+            leaves, node, _ = sublayer_case("multi_head_attention", rng, np.float64, shape=shape, heads=heads)
             coeff = rng.normal(size=shape)
             bound_for_chunk(monkeypatch, 3, 8, 2 * heads)
             calls.clear()
-            L.scaled_dot_attention(q, k, v, heads)
-            assert calls == [2, 2, 2, 2, 1, 1], heads  # chunks of 2, 2 and 1 sequences, two products each
-            for res in grad_check(
-                lambda q, k, v: (L.scaled_dot_attention(q, k, v, heads) * coeff).sum(), [q, k, v], tol=1e-6
-            ):
+            node(*leaves)
+            # q, k and v; two products for each chunk of 2, 2 and 1 sequences; the output projection
+            assert calls == [5, 5, 5, 2, 2, 2, 2, 1, 1, 5], heads
+            for res in grad_check(lambda *a: (node(*a) * coeff).sum(), leaves, tol=1e-6):
                 assert res.passed, (heads, res)
 
     def test_float32_matches_composed(self, monkeypatch):
@@ -979,26 +836,15 @@ class TestFusedAttention:
         for heads in (1, 2, 4):
             shape = (2, 3, 7, 4 * heads)  # G = 6 sequences: chunks of 4 and 2; d_k = 4
             bound_for_chunk(monkeypatch, 7, 4, 4 * heads)
-            qkv = [rng.normal(scale=2.0, size=shape).astype(np.float32) for _ in range(3)]
-            g = rng.normal(size=shape).astype(np.float32)
-            results = []
-            for attend in (L.scaled_dot_attention, attention_per_head):
-                q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
-                out = attend(q, k, v, heads)
-                backward((out * Tensor(g)).sum())
-                results.append((out.data, q.grad, k.grad, v.grad))
-            for name, got, ref in zip(("out", "dq", "dk", "dv"), *results):
-                assert got.dtype == np.float32, (heads, name)
-                err = np.abs(got - ref).max()
-                assert err <= 1e-5 * np.abs(ref).max(), (heads, name, err)
+            leaves, node, reference = sublayer_case("multi_head_attention", rng, np.float32, shape=shape, heads=heads)
+            assert_sublayer_matches_the_reference(leaves, node, reference, rng.normal(size=shape), 1e-6, heads)
 
     def test_retains_no_score_tensor(self):
         rng = np.random.default_rng(42)
         shape = (16, 4, 64, 8)
-        q, k, v = (
-            Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True) for _ in range(3)
-        )
-        out, retained, _ = traced_bytes(lambda: L.scaled_dot_attention(q, k, v, 1))
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        p = mha_params(8, rng, dtype=np.float32)
+        out, retained, _ = traced_bytes(lambda: L.multi_head_attention(x, p, 1))
         score_bytes = 16 * 4 * 64 * 64 * 4
         assert retained - out.data.nbytes < score_bytes, retained / score_bytes
 
@@ -1006,111 +852,11 @@ class TestFusedAttention:
         rng = np.random.default_rng(43)
         shape = (8, 4, 128, 8)  # output/scores = d_k/n = 1/16; paper-scale parts span 1/21 to 2/9
         score_bytes = 8 * 4 * 128 * 128 * 4
-        bound_for_chunk(monkeypatch, 128, 4, 8 * 4 // 4)  # a quarter of the scores
-        q, k, v = (
-            Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True) for _ in range(3)
-        )
-        _, _, peak = traced_bytes(lambda: L.scaled_dot_attention(q, k, v, 1))
+        bound_for_chunk(monkeypatch, 128, 4, 8 * 4 // 8)  # an eighth of the scores; q, k and v add 3/16
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        p = mha_params(8, rng, dtype=np.float32)
+        _, _, peak = traced_bytes(lambda: L.multi_head_attention(x, p, 1))
         assert peak < score_bytes / 2, peak / score_bytes
-
-
-class TestFullSizeRuleMemory:
-    """Peak bytes of the rules that run on whole volumes, against x's own size.
-
-    At [1, 8, 32, 32, 32] float32 x is 1 MiB, large enough that per-array
-    overhead does not decide a bound. A full-size rule may allocate its own
-    dx and no other array of x's size.
-    """
-
-    shape = (1, 8, 32, 32, 32)
-
-    def leaf(self, rng):
-        return Tensor(rng.normal(size=self.shape).astype(np.float32), requires_grad=True)
-
-    def test_maxpool_forward_copies_nothing_full_size(self):
-        x = self.leaf(np.random.default_rng(60))
-        _, _, peak = traced_bytes(lambda: L.maxpool3d(x))
-        assert peak <= 0.5 * x.data.nbytes, peak / x.data.nbytes
-
-    def test_maxpool_backward_allocates_only_dx(self):
-        rng = np.random.default_rng(61)
-        x = self.leaf(rng)
-        out = L.maxpool3d(x)
-        g = rng.normal(size=out.shape).astype(np.float32)
-        _, _, peak = traced_bytes(lambda: out._node.backward_fn(g))
-        assert peak <= 1.25 * x.data.nbytes, peak / x.data.nbytes
-
-    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-    def test_batchnorm_backward_allocates_only_dx(self, training):
-        rng = np.random.default_rng(62)
-        x = self.leaf(rng)
-        c = self.shape[1]
-        s = L.BatchNorm3dState(
-            gamma=Tensor(rng.uniform(0.5, 2.0, size=c).astype(np.float32), requires_grad=True),
-            beta=Tensor(rng.normal(size=c).astype(np.float32), requires_grad=True),
-            running_mean=np.zeros(c, np.float32),
-            running_var=np.ones(c, np.float32),
-            training=training,
-        )
-        out = L.batchnorm3d(x, s)
-        g = rng.normal(size=self.shape).astype(np.float32)
-        _, _, peak = traced_bytes(lambda: out._node.backward_fn(g))
-        assert peak <= 1.25 * x.data.nbytes, peak / x.data.nbytes
-
-    def test_batchnorm_eval_no_grad_holds_only_its_output(self):
-        rng = np.random.default_rng(63)
-        x = self.leaf(rng)
-        c = self.shape[1]
-        s = L.BatchNorm3dState(
-            gamma=Tensor(rng.uniform(0.5, 2.0, size=c).astype(np.float32), requires_grad=True),
-            beta=Tensor(rng.normal(size=c).astype(np.float32), requires_grad=True),
-            running_mean=rng.normal(size=c).astype(np.float32),
-            running_var=rng.uniform(0.5, 3.0, size=c).astype(np.float32),
-        )
-
-        def forward():
-            with T.no_grad():
-                return L.batchnorm3d(x, s)
-
-        _, _, peak = traced_bytes(forward)
-        assert peak <= 1.1 * x.data.nbytes, peak / x.data.nbytes
-
-    # at [1, 8, 32, 32, 32] the pool's ufunc buffers alone add about 0.25 x out.nbytes
-    large = (1, 8, 64, 64, 64)
-
-    def test_relu_no_grad_holds_only_its_output(self):
-        x = Tensor(np.random.default_rng(64).normal(size=self.large).astype(np.float32), requires_grad=True)
-
-        def forward():
-            with T.no_grad():
-                return L.relu(x)
-
-        _, _, peak = traced_bytes(forward)
-        assert peak <= 1.1 * x.data.nbytes, peak / x.data.nbytes
-
-    def test_maxpool_no_grad_holds_only_its_output(self):
-        normal = np.random.default_rng(65).normal(size=self.large).astype(np.float32)
-        x = Tensor(np.where(normal > 0, normal, -0.0), requires_grad=True)  # some windows are all -0.0
-
-        def forward():
-            with T.no_grad():
-                return L.maxpool3d(x)
-
-        out, _, peak = traced_bytes(forward)
-        assert peak <= 1.1 * out.data.nbytes, peak / out.data.nbytes
-
-
-def mha_params(d, rng=None, dtype=np.float64, identity=False):
-    def mk(shape):
-        if identity:
-            return Tensor(np.eye(shape[0], dtype=dtype), requires_grad=True)
-        return Tensor(rng.normal(scale=0.4, size=shape).astype(dtype), requires_grad=True)
-
-    zeros = lambda: Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-    return L.AttentionParams(
-        wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), wo=mk((d, d)),
-        bq=zeros(), bv=zeros(), bo=zeros(),
-    )
 
 
 class TestMultiHeadAttention:
@@ -1118,8 +864,8 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 4)))
         p = mha_params(4, identity=True)
-        want = L.scaled_dot_attention(x, x, x, 1).data
-        np.testing.assert_allclose(L.multi_head_attention(x, p, 1).data, want, rtol=1e-5)
+        want = R.attention(x, x, x).data
+        np.testing.assert_allclose(L.multi_head_attention(x, p, 1).data, want, rtol=1e-12)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(1)
@@ -1163,8 +909,8 @@ class TestMultiHeadAttention:
 
 
 def sublayer_case(name, rng, dtype, shape=(2, 5, 8), heads=2):
-    """Leaves (x first, then the weights and biases, all requiring grad), the node and its composed reference,
-    each a function of the leaves."""
+    """Leaves (x first, then the weights and biases, all requiring grad), the node and its reference, each a
+    function of the leaves."""
     d = shape[-1]
 
     def leaf(*s):
@@ -1172,27 +918,22 @@ def sublayer_case(name, rng, dtype, shape=(2, 5, 8), heads=2):
 
     x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
     if name == "feed_forward":
-        return [x, leaf(d, 4 * d), leaf(4 * d), leaf(4 * d, d), leaf(d)], L.feed_forward, feed_forward_composed
+        return [x, leaf(d, 4 * d), leaf(4 * d), leaf(4 * d, d), leaf(d)], L.feed_forward, R.feed_forward
 
     def node(x, *params):
         return L.multi_head_attention(x, L.AttentionParams(*params), heads)
 
-    def composed(x, wq, wk, wv, wo, bq, bv, bo):
-        q, k, v = L.linear(x, wq, bq), T.matmul(x, wk), L.linear(x, wv, bv)
-        return L.linear(L.scaled_dot_attention(q, k, v, heads), wo, bo)
+    def reference(*leaves):
+        return R.multi_head_attention(*leaves, heads)
 
-    return [x, *(leaf(d, d) for _ in range(4)), *(leaf(d) for _ in range(3))], node, composed
-
-
-def feed_forward_composed(x, w1, b1, w2, b2):
-    return L.linear(L.gelu(L.linear(x, w1, b1)), w2, b2)
+    return [x, *(leaf(d, d) for _ in range(4)), *(leaf(d) for _ in range(3))], node, reference
 
 
 SUBLAYERS = ["multi_head_attention", "feed_forward"]
 
 
 class TestSublayerNodes:
-    """The encoder layer's one-node sublayers against their composed references."""
+    """The encoder layer's one-node sublayers against their references."""
 
     def test_feed_forward_grad_check(self):
         leaves, node, _ = sublayer_case("feed_forward", np.random.default_rng(80), np.float64, shape=(2, 3, 4))
@@ -1212,19 +953,15 @@ class TestSublayerNodes:
 
     @pytest.mark.parametrize("name", SUBLAYERS)
     def test_float32_matches_composed(self, name):
-        # the forward is the composed one's products and sums, in place; the grads differ in summation order
-        results = []
-        for i in range(2):
-            leaves, node, composed = sublayer_case(name, np.random.default_rng(84), np.float32, shape=(3, 7, 16))
-            out = (node, composed)[i](*leaves)
-            backward((out * Tensor(np.random.default_rng(85).normal(size=out.shape).astype(np.float32))).sum())
-            results.append([out.data, *(t.grad for t in leaves)])
-        (out, *grads), (ref, *ref_grads) = results
-        assert out.dtype == np.float32 and out.tobytes() == ref.tobytes()
-        for leaf, (got, want) in enumerate(zip(grads, ref_grads)):
-            assert got.dtype == np.float32 and got.shape == want.shape, leaf
-            err = np.abs(got - want).max()
-            assert err <= 1e-6 * np.abs(want).max(), (leaf, err / np.abs(want).max())
+        leaves, node, reference = sublayer_case(name, np.random.default_rng(84), np.float32, shape=(3, 7, 16))
+        g = np.random.default_rng(85).normal(size=(3, 7, 16))
+        assert_sublayer_matches_the_reference(leaves, node, reference, g, 1e-6)
+
+    @pytest.mark.parametrize("name", SUBLAYERS)
+    def test_float64_matches_the_reference(self, name):
+        leaves, node, reference = sublayer_case(name, np.random.default_rng(84), np.float64, shape=(3, 7, 16))
+        g = np.random.default_rng(85).normal(size=(3, 7, 16))
+        assert_sublayer_matches_the_reference(leaves, node, reference, g, 1e-12)
 
     @pytest.mark.parametrize("name", SUBLAYERS)
     def test_repeated_backward_accumulates(self, name):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as R
 from gldn import layers as L, model as M, spt as S
 from gldn.errors import ConfigError, DimensionError, DomainError, FormatError, NumericsError
 from gldn.tensor import Tensor, backward, grad_check, no_grad
@@ -111,14 +112,10 @@ class TestCnnBlock:
             assert res.passed, res
 
 
-def cnn_block_composed(x, p):
-    """The CNN block as four tape nodes: `conv3d`, `relu`, `batchnorm3d`, `maxpool3d` (reference)."""
-    return L.maxpool3d(L.batchnorm3d(L.relu(L.conv3d(x, p.conv)), p.bn))
-
-
 class TestFusedEval:
     """With BatchNorm in eval, the CNN block node pools inside the conv's slabs before relu and BatchNorm,
-    recorded or not, with the values of the composed four-node block."""
+    recorded or not, with the same bytes either way, and the reference's values within a tolerance: float32
+    normalizes float32 pooled voxels and sums float32 GEMMs."""
 
     def block(self, dtype, c_in, c_out, gammas="positive", seed=0):
         store = M.ParamStore(np.random.default_rng(seed), dtype)
@@ -153,10 +150,10 @@ class TestFusedEval:
         assert recorded.requires_grad
         with no_grad():
             fused = M.cnn_block(x, cb, order)
-            composed = cnn_block_composed(x, cb)  # relu and BatchNorm on every conv voxel, then the pool
-        assert fused.dtype == dtype and fused.shape == recorded.shape == composed.shape == (2, 5, 5, 3, 2)
-        np.testing.assert_array_equal(fused.data, composed.data)  # in value: the sign of a zero is unspecified
-        np.testing.assert_array_equal(fused.data, recorded.data)
+            reference = R.cnn_block(*R.float64_copies(x, cb.conv, cb.bn))  # relu and BatchNorm on every voxel
+        assert fused.dtype == dtype and fused.shape == recorded.shape == reference.shape == (2, 5, 5, 3, 2)
+        R.assert_close([fused.data], [reference.data], 1e-12 if dtype == np.float64 else 2e-6)
+        np.testing.assert_array_equal(fused.data, recorded.data)  # in value: the sign of a zero is unspecified
 
     @pytest.mark.parametrize("fused", [True, False])
     def test_a_non_finite_value_the_pool_would_hide_raises(self, fused):
@@ -165,8 +162,8 @@ class TestFusedEval:
         cb.conv.weight.data[:, :, 1, 1, 1] = 10.0  # the centre tap alone: y = 10 x + b
         x = np.ones((1, 1, 4, 4, 4), np.float32)
         x[0, 0, 1, 2, 1] = -3e38  # y = -inf there and finite elsewhere, so every window max is finite
-        with contextlib.nullcontext() if not fused else no_grad():
-            with np.errstate(over="ignore"), pytest.raises(NumericsError, match=r"conv3d.*\(1, 2, 4, 4, 4\)"):
+        with contextlib.nullcontext() if not fused else no_grad(), np.errstate(over="ignore"):
+            with pytest.raises(NumericsError, match=r"conv_relu_bn_pool.*\(1, 2, 4, 4, 4\)"):
                 M.cnn_block(Tensor(x), cb, "relu_bn")
 
     def test_a_huge_negative_conv_voxel_gives_the_same_values_on_both_paths(self):
@@ -593,7 +590,7 @@ class TestZeroSign:
             return out
 
         want = self.step(dtype)
-        monkeypatch.setattr(L, "_relu", relu_writing_negative_zeros)  # the train node's and `relu`'s
+        monkeypatch.setattr(L, "_relu", relu_writing_negative_zeros)  # the CNN block node's, in both modes
         got = self.step(dtype)
         assert len(negative_zeros) == 4 and all(negative_zeros)  # 2 conv blocks, train and eval, one slab each
         assert got.keys() == want.keys()
