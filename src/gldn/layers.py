@@ -15,6 +15,9 @@ normalizes only the pooled voxels and keeps no full-resolution array: its
 backward recomputes each slab's conv. BatchNorm's formulas live in this node
 alone.
 
+Every weight product of the transformer stream is x W + b, written once:
+`_affine` runs it as one GEMM over x's rows, and `_affine_grads` returns dX,
+dW and db. `linear` is one node built on them; both sublayers call them too.
 `layer_norm` normalizes each row over the last axis with the closed-form
 backward; statistics that are not finite raise, as the CNN block's batch
 statistics do. Each sublayer of the encoder layer is one node that keeps its
@@ -47,7 +50,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericsError
 from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, all_finite, apply_op, check_finite, is_integer
-from .tensor import matmul, no_grad, recording
+from .tensor import matmul, no_grad, recording, reshape
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -333,9 +336,31 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
     return apply_op(out, (x, conv.weight, conv.bias, bn.gamma, bn.beta), bwd)
 
 
+def _affine(x, w: Tensor, b: np.ndarray | None = None) -> np.ndarray:
+    """x [*, in] @ w [in, out] (+ b, in place) as one GEMM over x's rows through `matmul`, unrecorded, which
+    checks the product and an array x for non-finite values; a Tensor x is folded by `reshape`, unchecked."""
+    with no_grad():
+        rows = reshape(x, (-1, x.shape[-1])) if isinstance(x, Tensor) else x.reshape(-1, x.shape[-1])
+        y = matmul(rows, w).data
+    if b is not None:
+        y += b
+    return y.reshape(x.shape[:-1] + y.shape[-1:])
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: bool = True):
+    """dX [*, in] (None unless `need_dx`), dW and db of x @ w + b for its gradient g, over x's folded rows."""
+    g2 = g.reshape(-1, g.shape[-1])
+    dx = (g2 @ w.T).reshape(x.shape) if need_dx else None
+    return dx, x.reshape(-1, x.shape[-1]).T @ g2, g2.sum(axis=0)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x [*, in] @ w [in, out] + b [out]; leading axes ride along."""
-    return matmul(x, w) + b
+    """x [*, in] @ w [in, out] + b [out] as one node, `_affine` forward and `_affine_grads` backward. A constant
+    x gets no dX. Backward reads w as it is when it runs, so it must run before an in-place update of w."""
+    if x.ndim < 2 or w.ndim != 2 or w.shape[0] != x.shape[-1] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear needs x [*, in], w [in, out] and b [out], got {x.shape}, {w.shape}, {b.shape}")
+    xd, wd, need_dx = x.data, w.data, x.requires_grad
+    return apply_op(_affine(x, w, b.data), (x, w, b), lambda g: _affine_grads(g, xd, wd, need_dx))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -441,12 +466,6 @@ def _gelu_slope(xf: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(a, b) -> np.ndarray:
-    """a @ b through `matmul`, unrecorded: a forward product inside a node, checked for non-finite values."""
-    with no_grad():
-        return matmul(a, b).data
-
-
 def _split(a: np.ndarray, heads: int) -> np.ndarray:
     """[*, n, d] -> [G, heads, n, d_k], a view of a's buffer."""
     n, d = a.shape[-2:]
@@ -517,47 +536,39 @@ def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
     d splits into `heads` heads of d_k = d / heads (Vaswani et al. 2017), read
     as strided [G, heads, n, d_k] views of the [*, n, d] projections with no
     copy (Dao et al. 2022); the joined heads are written through the same
-    views. The forward runs the three projections, `_attend` and the output
-    projection, each product through `matmul`, with the biases added in
-    place; q, k and v are dropped before the output projection. `_attend`
-    walks the G sequences in chunks whose [g, heads, n, n] score block fits in
-    _CHUNK_BYTES. When recording, the node keeps x, the joined heads and one
-    log-sum-exp per query row. Backward recomputes q, k and v from x, three
-    [N, d] @ [d, d] GEMMs, and `_attend_grads` recomputes each chunk's weights
-    from them and the log-sum-exp (Rabe & Staats 2021), so no n x n array
-    outlives its chunk; the three dX products are summed in one buffer (Chen
-    et al. 2016; Korthikanti et al. 2022). Backward reads the weights as they
-    are when it runs, so it must run before an in-place update of the weights.
+    views. The forward runs the projections through `_affine` and `_attend`
+    between them; q, k and v are dropped before the output projection.
+    `_attend` walks the G sequences in chunks whose [g, heads, n, n] score
+    block fits in _CHUNK_BYTES. When recording, the node keeps x, the joined
+    heads and one log-sum-exp per query row. Backward recomputes q, k and v
+    from x, three [N, d] @ [d, d] GEMMs, and `_attend_grads` recomputes each
+    chunk's weights from them and the log-sum-exp (Rabe & Staats 2021), so no
+    n x n array outlives its chunk; `_affine_grads` forms each projection's
+    gradients (Chen et al. 2016; Korthikanti et al. 2022). Backward reads the
+    weights as they are when it runs: it must precede an in-place update.
     """
     weights, biases = (p.wq, p.wk, p.wv, p.wo), (p.bq, p.bv, p.bo)
     d = x.shape[-1] if x.ndim >= 2 else None
     if d is None or any(w.shape != (d, d) for w in weights) or any(b.shape != (d,) for b in biases):
         raise DimensionError(f"multi_head_attention on x [*, n, d] needs [d, d] weights and [d] biases, got x "
                              f"{x.shape}, weights {[w.shape for w in weights]}, biases {[b.shape for b in biases]}")
-    wq, wk, wv, wo, bq, bv, bo = (t.data for t in (*weights, *biases))
-    q, k, v = (_product(x, w) for w in weights[:3])
-    q += bq
-    v += bv
+    xd, wq, wk, wv, wo, bq, bv, bo = (t.data for t in (x, *weights, *biases))
+    q, k, v = _affine(x, p.wq, bq), _affine(x, p.wk), _affine(x, p.wv, bv)
     joined, lse = _attend(q, k, v, heads, recording(x, *weights, *biases))
     del q, k, v
-    out = _product(joined, p.wo)
-    out += bo
-    xd = x.data
+    out = _affine(joined, p.wo, bo)
 
     def bwd(g):
-        g2, x2, j2 = g.reshape(-1, d), xd.reshape(-1, d), joined.reshape(-1, d)
-        dwo, dbo = j2.T @ g2, g2.sum(axis=0)
-        dj = (g2 @ wo.T).reshape(joined.shape)
-        q, k, v = ((x2 @ w).reshape(xd.shape) for w in (wq, wk, wv))
+        dj, dwo, dbo = _affine_grads(g, joined, wo)
+        q, k, v = ((xd.reshape(-1, d) @ w).reshape(xd.shape) for w in (wq, wk, wv))
         q += bq
         v += bv
-        dq, dk, dv = (a.reshape(-1, d) for a in _attend_grads(q, k, v, joined, lse, dj, heads))
+        grads = _attend_grads(q, k, v, joined, lse, dj, heads)
         del q, k, v, dj
-        dx = dq @ wq.T
-        dx += dk @ wk.T
-        dx += dv @ wv.T
-        return (dx.reshape(xd.shape), x2.T @ dq, x2.T @ dk, x2.T @ dv, dwo,
-                dq.sum(axis=0), dv.sum(axis=0), dbo)
+        (dx, dwq, dbq), (dxk, dwk, _), (dxv, dwv, dbv) = map(_affine_grads, grads, (xd,) * 3, (wq, wk, wv))
+        dx += dxk
+        dx += dxv
+        return dx, dwq, dwk, dwv, dwo, dbq, dbv, dbo
 
     return apply_op(out, (x, *weights, *biases), bwd)
 
@@ -567,38 +578,36 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
     GELU is exact: 0.5 h (1 + erf(h / sqrt(2))) (Hendrycks & Gimpel 2016),
     with `math.erf` per element in float64 and `_phi32` in float32, within
-    1e-6 max(1, |h|) of the float64 GELU. The forward runs both products
-    through `matmul`, adds the biases in place and writes GELU into the
-    hidden buffer. When recording, the node keeps only x: backward recomputes
-    h = x W1 + b1, then GELU's value for dW2 and its slope cdf(h) + h pdf(h)
-    for dh (Chen et al. 2016). Backward reads the weights as they are when it
-    runs, so it must run before an in-place update of the weights.
+    1e-6 max(1, |h|) of the float64 GELU. The forward runs both layers
+    through `_affine` and writes GELU into the hidden buffer. When recording,
+    the node keeps only x: backward recomputes h = x W1 + b1, then GELU's
+    slope cdf(h) + h pdf(h) for dh and its value, in h's buffer, for dW2
+    (Chen et al. 2016); `_affine_grads` forms both layers' gradients.
+    Backward reads the weights as they are when it runs: it must precede an
+    in-place update.
     """
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
         raise DimensionError(f"feed_forward on x [*, d] needs w1 [d, h], b1 [h], w2 [h, m] and b2 [m], got x "
                              f"{x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and b2 {b2.shape}")
     xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
-    h = _product(x, w1)
-    h += b1d
+    h = _affine(x, w1, b1d)
     hf = h.reshape(-1)
     hf *= _gelu_cdf(hf)
-    out = _product(h, w2)
-    out += b2.data
+    out = _affine(h, w2, b2.data)
 
     def bwd(g):
-        g2, x2 = g.reshape(-1, g.shape[-1]), xd.reshape(-1, xd.shape[-1])
-        h = x2 @ w1d
+        h = xd.reshape(-1, xd.shape[-1]) @ w1d
         h += b1d
         hf = h.reshape(-1)
         cdf = _gelu_cdf(hf)
-        act = (hf * cdf).reshape(h.shape)
-        dw2 = act.T @ g2
-        slope = _gelu_slope(hf, cdf, act.reshape(-1)).reshape(h.shape)  # in act's buffer
-        del h, hf, cdf
-        dh = g2 @ w2d.T
+        slope = _gelu_slope(hf, cdf, np.empty_like(hf)).reshape(h.shape)
+        hf *= cdf  # h becomes GELU(h): h, the slope and dh are the most [N, h] buffers alive at once
+        del hf, cdf
+        dh, dw2, db2 = _affine_grads(g, h, w2d)
         dh *= slope
-        return (dh @ w1d.T).reshape(xd.shape), x2.T @ dh, dh.sum(axis=0), dw2, g2.sum(axis=0)
+        del h, slope
+        return (*_affine_grads(dh, xd, w1d), dw2, db2)
 
     return apply_op(out, (x, w1, b1, w2, b2), bwd)
 

@@ -9,7 +9,8 @@ output lives only while a rule reads it or the caller holds it.
 gradients over all paths. Gradients land only on leaves (parameters and
 inputs created with requires_grad); op outputs pass theirs on and keep none.
 Forward outputs and the gradients that reach leaves are checked for NaN/Inf,
-and non-finite values raise NumericsError at the op that produced them.
+and non-finite values raise NumericsError at the op that produced them. Each
+primitive has one path: `matmul` is numpy's batched, broadcasting product.
 """
 
 from __future__ import annotations
@@ -372,29 +373,18 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for rank >= 2 operands. When b is 2-D (a weight), a's leading axes fold into the
-    rows of one GEMM, forward and backward, so db is one product, not a stack of per-slice
-    products summed down; other shapes run batched. Only an operand that requires grad gets one."""
+    """a @ b for rank >= 2 operands, batched over the leading axes, which broadcast; a broadcast operand's gradient
+    is summed back down. Only an operand that requires grad gets one. `layers._affine` folds x W into one GEMM."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:  # np.matmul takes vectors; the backward rule does not
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     x, w, need_a, need_b = a.data, b.data, a.requires_grad, b.requires_grad
-    out_data = _fit(_fold_matmul if w.ndim == 2 else np.matmul, x, w)
 
     def bwd(g):
-        if w.ndim == 2:
-            g = g.reshape(-1, g.shape[-1])
-            ga = (g @ w.T).reshape(x.shape) if need_a else None
-            return ga, (x.reshape(-1, x.shape[-1]).T @ g if need_b else None)
         ga = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), x.shape) if need_a else None
         return ga, (_unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.shape) if need_b else None)
 
-    return apply_op(out_data, (a, b), bwd)
-
-
-def _fold_matmul(x, w):
-    """x [*, in] @ w [in, out] as one GEMM over the rows of x."""
-    return np.matmul(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + w.shape[1:])
+    return apply_op(_fit(np.matmul, x, w), (a, b), bwd)
 
 
 def permute_axes(a: Tensor, perm) -> Tensor:

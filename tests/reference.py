@@ -3,7 +3,9 @@
 Each is a composition of the tape's public ops, or a small node whose forward
 and backward are direct formulas, and none shares a helper with the node it
 checks: a bug in one of `layers`' private helpers would pass both sides of a
-comparison with code that ran it too. The tests run these in float64.
+comparison with code that ran it too. So the only node of `layers` called here
+is `softmax`, and `linear` is the tape's batched `matmul` and `add`. The tests
+run these in float64.
 """
 
 from itertools import product
@@ -117,14 +119,19 @@ def attention_per_head(q, k, v, heads):
     return T.reshape(T.permute_axes(attention(q, k, v), perm), (*lead, n, d))
 
 
+def linear(x, w, b):
+    """x [*, in] @ w [in, out] + b as a batched product, w broadcast over x's leading axes, and an add."""
+    return T.matmul(x, w) + b
+
+
 def multi_head_attention(x, wq, wk, wv, wo, bq, bv, bo, heads):
     """Multi-head attention of x's projections, with no key bias, then the output projection."""
-    q, k, v = L.linear(x, wq, bq), T.matmul(x, wk), L.linear(x, wv, bv)
-    return L.linear(attention_per_head(q, k, v, heads), wo, bo)
+    q, k, v = linear(x, wq, bq), T.matmul(x, wk), linear(x, wv, bv)
+    return linear(attention_per_head(q, k, v, heads), wo, bo)
 
 
 def feed_forward(x, w1, b1, w2, b2):
-    return L.linear(gelu(L.linear(x, w1, b1)), w2, b2)
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
 
 
 def float64_leaf(t):

@@ -155,6 +155,11 @@ def f64():
             DimensionError, id="feed-forward-bias-length-1", match="feed_forward"),
         row(lambda: L.feed_forward(t23(), ones(4, 12), ones(12), ones(12, 3), ones(3)), DimensionError,
             id="feed-forward-weight-shape", match="feed_forward"),
+        row(lambda: L.linear(t23(), ones(3, 2), ones(1, requires_grad=True)), DimensionError,
+            id="linear-bias-length-1", match="linear"),
+        row(lambda: L.linear(t23(), ones(3, 2, 2), ones(2)), DimensionError, id="linear-3d-weight", match="linear"),
+        row(lambda: L.linear(T.Tensor(np.ones(3)), ones(3, 2), ones(2)), DimensionError, id="linear-1d-input",
+            match="linear"),
         row(lambda: M.build_model(M.ModelConfig(patch=(8,))), ConfigError, id="config-block-count"),
         row(load_checkpoint_of_other_names, ConfigError, id="load-checkpoint-other-names"),
     ],
@@ -201,3 +206,13 @@ def test_every_public_layer_function_runs_in_the_package():
     private += [f"{node.value.id}.{node.attr}" for node in ast.walk(reference) if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id in modules and node.attr[0] == "_"]
     assert modules and not private, f"tests/reference.py reads private names of gldn: {private}"
+
+    # softmax is the one node the reference builds on; any other would check a node against itself
+    layers_names = {alias.asname or alias.name for node in imports if node.module == "gldn" for alias in node.names
+                    if alias.name == "layers"}
+    nodes = [alias.name for node in imports if node.module == "gldn.layers" for alias in node.names
+             if alias.name in public and alias.name != "softmax"]
+    nodes += [f"{node.func.value.id}.{node.func.attr}" for node in ast.walk(reference) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in layers_names and node.func.attr in public and node.func.attr != "softmax"]
+    assert layers_names and not nodes, f"tests/reference.py calls nodes of gldn.layers: {nodes}"

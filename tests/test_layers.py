@@ -522,6 +522,34 @@ class TestLinear:
         for res in grad_check(f, [x, w, b], tol=1e-6):
             assert res.passed, res
 
+    def test_grad_check_3d_input(self):
+        rng = np.random.default_rng(2)
+        x, w, b = t64(rng.normal(size=(2, 3, 4))), t64(rng.normal(size=(4, 5))), t64(rng.normal(size=5))
+        coeff = rng.normal(size=(2, 3, 5))
+        for res in grad_check(lambda *a: (L.linear(*a) * coeff).sum(), [x, w, b], tol=1e-6):
+            assert res.passed, res
+
+    def test_float32_matches_the_reference(self):
+        # one float32 GEMM over 15 rows of 16 against the float64 batched product and add: the output and each
+        # grad within 1e-6 of its largest float64 entry
+        rng = np.random.default_rng(3)
+        leaves = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for s in ((3, 5, 16), (16, 8), (8,))]
+        assert_sublayer_matches_the_reference(leaves, L.linear, R.linear, rng.normal(size=(3, 5, 8)), 1e-6)
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(4)
+        x, w, b = t64(rng.normal(size=(2, 3, 4))), t64(rng.normal(size=(4, 5))), t64(rng.normal(size=5))
+        assert tape_ops(L.linear(x, w, b)) == {"linear": 1}
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w, b = t64(rng.normal(size=(4, 5))), t64(rng.normal(size=5))
+        out = L.linear(x, w, b)
+        dx, dw, db = out._node.backward_fn(np.ones(out.shape))
+        assert dx is None and dw.shape == w.shape and db.shape == b.shape
+
 
 class TestLayerNorm:
     def g_b(self, d, gamma=1.0, beta=0.0):
@@ -815,7 +843,7 @@ class TestFusedAttention:
         matmul = L.matmul
 
         def counting(a, b):
-            calls.append(a.shape[0])  # sequences in this product
+            calls.append(a.shape[0])  # rows of a weight product, sequences of an attention product
             return matmul(a, b)
 
         monkeypatch.setattr(L, "matmul", counting)
@@ -824,10 +852,12 @@ class TestFusedAttention:
             leaves, node, _ = sublayer_case("multi_head_attention", rng, np.float64, shape=shape, heads=heads)
             coeff = rng.normal(size=shape)
             bound_for_chunk(monkeypatch, 3, 8, 2 * heads)
+            assert L._score_chunks(np.empty((5, heads, 3, 2))) == [slice(0, 2), slice(2, 4), slice(4, 5)]
             calls.clear()
             node(*leaves)
-            # q, k and v; two products for each chunk of 2, 2 and 1 sequences; the output projection
-            assert calls == [5, 5, 5, 2, 2, 2, 2, 1, 1, 5], heads
+            # q, k and v over the 15 folded rows; two products for each chunk of 2, 2 and 1 sequences; the
+            # output projection over the 15 rows
+            assert calls == [15, 15, 15, 2, 2, 2, 2, 1, 1, 15], heads
             for res in grad_check(lambda *a: (node(*a) * coeff).sum(), leaves, tol=1e-6):
                 assert res.passed, (heads, res)
 

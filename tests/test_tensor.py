@@ -58,17 +58,17 @@ class TestMatmul:
         np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-12)
         np.testing.assert_allclose(b.grad, a.data.T @ g, rtol=1e-12)
 
-    # A 2-D b folds a's leading axes into the rows of one GEMM; the .sum() loss hands the
-    # rule a broadcast view as its gradient.
+    # A 2-D b broadcasts over a's leading axis, so its gradient is summed back down; the .sum()
+    # loss hands the rule a broadcast view as its gradient.
     @pytest.mark.parametrize("grads", [(True, True), (True, False), (False, True)], ids=["both", "a", "b"])
-    def test_folded_grad_check(self, grads):
+    def test_broadcast_grad_check(self, grads):
         rng = np.random.default_rng(3)
         a, b = t64(rng.normal(size=(3, 2, 4)), grads[0]), t64(rng.normal(size=(4, 5)), grads[1])
         inputs = [t for t in (a, b) if t.requires_grad]
         for res in grad_check(lambda *_: matmul(a, b).sum(), inputs, tol=1e-8):
             assert res.passed, res
 
-    @pytest.mark.parametrize("b_shape", [(4, 5), (3, 4, 5)], ids=["folded", "batched"])
+    @pytest.mark.parametrize("b_shape", [(4, 5), (3, 4, 5)], ids=["broadcast", "batched"])
     @pytest.mark.parametrize("const", [0, 1], ids=["a", "b"])
     def test_constant_operand_gets_no_gradient(self, const, b_shape):
         rng = np.random.default_rng(4)
@@ -422,7 +422,7 @@ class TestShapeErrors:
             pytest.param(lambda: concat([ones(2, 3), ones(2, 4)], axis=0), [(2, 3), (2, 4)], id="concat-extent"),
             pytest.param(lambda: matmul(ones(2, 3), ones(4, 5)), [(2, 3), (4, 5)], id="matmul-inner"),
             pytest.param(lambda: matmul(ones(2, 2, 3), ones(3, 3, 4)), [(2, 2, 3), (3, 3, 4)], id="matmul-batch"),
-            pytest.param(lambda: matmul(ones(2, 3, 4), ones(5, 6)), [(2, 3, 4), (5, 6)], id="matmul-folded-inner"),
+            pytest.param(lambda: matmul(ones(2, 3, 4), ones(5, 6)), [(2, 3, 4), (5, 6)], id="matmul-broadcast-inner"),
             pytest.param(lambda: T.tsum(ones(2, 3), axis=(0, 0)), [(2, 3)], id="tsum-repeated-axis"),
             pytest.param(lambda: T.tmean(ones(2, 3), axis=(1, -1)), [(2, 3)], id="tmean-repeated-axis"),
             pytest.param(lambda: L.layer_norm(ones(2, 3), ones(4), ones(3)), [(2, 3), (4,)], id="layer-norm-gamma"),
