@@ -11,30 +11,31 @@ BatchNorm are monotone maps per channel, and so is their rounding, so they
 commute with the window max, which becomes a min where BatchNorm's gamma < 0.
 In train mode the node gathers the batch statistics slab by slab; in eval
 mode it pools first and takes relu of the pooled voxels alone. Either way it
-normalizes only the pooled voxels and keeps no full-resolution array: its
-backward recomputes each slab's conv. BatchNorm's formulas live in this node
-alone.
+normalizes only the pooled voxels, keeps no full-resolution array and
+recomputes each slab's conv in backward. BatchNorm's formulas live in it alone.
 
 Every weight product of the transformer stream is x W + b, written once:
-`_affine` runs it as one GEMM over x's rows, and `_affine_grads` returns dX,
-dW and db. `linear` is one node built on them; both sublayers call them too.
-`layer_norm` normalizes each row over the last axis with the closed-form
-backward; statistics that are not finite raise, as the CNN block's batch
-statistics do. Each sublayer of the encoder layer is one node that keeps its
-input and recomputes the rest. `multi_head_attention` projects x to q, k and
-v, reads the heads as strided views of the [*, n, d] projections, walks them
-in chunks under the same byte bound and projects the joined heads out; it
-keeps x, the joined heads and one log-sum-exp per query row, not q, k, v or
-the n x n weights. `feed_forward` is linear(gelu(linear(x))) and keeps x
-alone. The encoder layer tapes no reshape or transpose. The tests compare
-each node with an independent composition of tape ops in float64
-(`tests/reference.py`).
+`_affine` runs it on arrays as one GEMM over x's rows, in the forward and in
+every backward recompute, and `_affine_grads` returns dX, dW and db. `linear`
+is one node built on them; both sublayers call them too. `layer_norm`
+normalizes each row over the last axis with the closed-form backward;
+statistics that are not finite raise, as the CNN block's batch statistics do.
+Each sublayer of the encoder layer is one node that keeps its input and
+recomputes the rest. `multi_head_attention` projects x to q, k and v,
+multiplies the heads as strided views of the [*, n, d] projections in chunks
+under the same byte bound and projects the joined heads out; it keeps x, the
+joined heads and one log-sum-exp per query row, not q, k, v or the n x n
+weights. `feed_forward` is linear(gelu(linear(x))) and keeps x alone. The
+encoder layer tapes no reshape or transpose. The tests compare each node with
+an independent composition of tape ops in float64 (`tests/reference.py`).
 
-Saved state is built only when `tensor.recording` says the node is recorded:
-the CNN block's argmax and its x-hat beside the output, and attention's
-log-sum-exp. So an eval forward under `no_grad` builds none of them. GELU's
-erf is the standard library's `math.erf` in float64 and a blocked float32
-rational in float32.
+A node computes on its inputs' arrays and builds no Tensor but its output,
+which `apply_op` checks for non-finite values, naming the node. Inside a node
+only the CNN block's conv slabs and attention's score chunks are checked: an
+-inf score would get softmax weight 0 unseen. Saved state is built only when
+the node is recorded (`tensor.recording`): the CNN block's argmax and x-hat,
+and attention's log-sum-exp. GELU's erf is the standard library's `math.erf`
+in float64 and a blocked float32 rational in float32.
 
 Outputs and gradients are specified as values: the sign of an exact zero is
 unspecified, and relu and the pool may write either.
@@ -47,10 +48,11 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy import matmul  # by name, so a test can count the transformer stream's products by patching it
 
 from .errors import DimensionError, NumericsError
 from .tensor import Tensor, _fit, _normalize_axes, _unbroadcast, all_finite, apply_op, check_finite, is_integer
-from .tensor import matmul, no_grad, recording, reshape
+from .tensor import recording
 
 SQRT2 = float(np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -336,12 +338,10 @@ def conv_relu_bn_pool(x: Tensor, conv: Conv3dParams, bn: BatchNorm3dState) -> Te
     return apply_op(out, (x, conv.weight, conv.bias, bn.gamma, bn.beta), bwd)
 
 
-def _affine(x, w: Tensor, b: np.ndarray | None = None) -> np.ndarray:
-    """x [*, in] @ w [in, out] (+ b, in place) as one GEMM over x's rows through `matmul`, unrecorded, which
-    checks the product and an array x for non-finite values; a Tensor x is folded by `reshape`, unchecked."""
-    with no_grad():
-        rows = reshape(x, (-1, x.shape[-1])) if isinstance(x, Tensor) else x.reshape(-1, x.shape[-1])
-        y = matmul(rows, w).data
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x [*, in] @ w [in, out] (+ b, in place) as one GEMM over x's rows, in a fresh buffer: the forward and the
+    backward recompute of every weight product. The caller checks the shapes, and `apply_op` the node's output."""
+    y = matmul(x.reshape(-1, x.shape[-1]), w)
     if b is not None:
         y += b
     return y.reshape(x.shape[:-1] + y.shape[-1:])
@@ -360,7 +360,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim < 2 or w.ndim != 2 or w.shape[0] != x.shape[-1] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear needs x [*, in], w [in, out] and b [out], got {x.shape}, {w.shape}, {b.shape}")
     xd, wd, need_dx = x.data, w.data, x.requires_grad
-    return apply_op(_affine(x, w, b.data), (x, w, b), lambda g: _affine_grads(g, xd, wd, need_dx))
+    return apply_op(_affine(xd, wd, b.data), (x, w, b), lambda g: _affine_grads(g, xd, wd, need_dx))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -482,7 +482,7 @@ def _score_chunks(qh: np.ndarray) -> list[slice]:
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads, record: bool):
     """The forward chunk loop of multi-head attention over equal [*, n, d] arrays. Returns the joined
     heads [*, n, d] and, when `record`, the [G, heads, n, 1] log-sum-exp of each query row, else None.
-    Both products go through `matmul`, which checks the scores and the output for non-finite values."""
+    Both products multiply the strided head views with no copy; only the scores are checked here."""
     d = q.shape[-1]
     if not is_integer(heads) or heads < 1 or d % heads:
         raise DimensionError(f"attention width {d} does not split into {heads} heads")
@@ -492,14 +492,15 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads, record: bool):
     outh = _split(out, heads)
     lse = np.empty(qh.shape[:3] + (1,), q.dtype) if record else None
     for c in _score_chunks(qh):
-        s = matmul(qh[c], np.swapaxes(kh[c], -1, -2)).data
+        s = matmul(qh[c], np.swapaxes(kh[c], -1, -2))
+        check_finite(s, "multi_head_attention", qh.shape[:3] + qh.shape[2:3])  # all [G, heads, n, n] scores
         s *= scale
         top = s.max(axis=-1, keepdims=True)
         s -= top
         np.exp(s, out=s)
         total = s.sum(axis=-1, keepdims=True)
         s /= total
-        outh[c] = matmul(s, vh[c]).data
+        outh[c] = matmul(s, vh[c])
         if record:
             lse[c] = top + np.log(total)
         del s  # so no two chunks' score blocks are alive at once
@@ -541,7 +542,7 @@ def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
     `_attend` walks the G sequences in chunks whose [g, heads, n, n] score
     block fits in _CHUNK_BYTES. When recording, the node keeps x, the joined
     heads and one log-sum-exp per query row. Backward recomputes q, k and v
-    from x, three [N, d] @ [d, d] GEMMs, and `_attend_grads` recomputes each
+    from x with the forward's `_affine`, and `_attend_grads` recomputes each
     chunk's weights from them and the log-sum-exp (Rabe & Staats 2021), so no
     n x n array outlives its chunk; `_affine_grads` forms each projection's
     gradients (Chen et al. 2016; Korthikanti et al. 2022). Backward reads the
@@ -553,16 +554,14 @@ def multi_head_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
         raise DimensionError(f"multi_head_attention on x [*, n, d] needs [d, d] weights and [d] biases, got x "
                              f"{x.shape}, weights {[w.shape for w in weights]}, biases {[b.shape for b in biases]}")
     xd, wq, wk, wv, wo, bq, bv, bo = (t.data for t in (x, *weights, *biases))
-    q, k, v = _affine(x, p.wq, bq), _affine(x, p.wk), _affine(x, p.wv, bv)
+    q, k, v = _affine(xd, wq, bq), _affine(xd, wk), _affine(xd, wv, bv)
     joined, lse = _attend(q, k, v, heads, recording(x, *weights, *biases))
     del q, k, v
-    out = _affine(joined, p.wo, bo)
+    out = _affine(joined, wo, bo)
 
     def bwd(g):
         dj, dwo, dbo = _affine_grads(g, joined, wo)
-        q, k, v = ((xd.reshape(-1, d) @ w).reshape(xd.shape) for w in (wq, wk, wv))
-        q += bq
-        v += bv
+        q, k, v = _affine(xd, wq, bq), _affine(xd, wk), _affine(xd, wv, bv)
         grads = _attend_grads(q, k, v, joined, lse, dj, heads)
         del q, k, v, dj
         (dx, dwq, dbq), (dxk, dwk, _), (dxv, dwv, dbv) = map(_affine_grads, grads, (xd,) * 3, (wq, wk, wv))
@@ -579,26 +578,25 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     GELU is exact: 0.5 h (1 + erf(h / sqrt(2))) (Hendrycks & Gimpel 2016),
     with `math.erf` per element in float64 and `_phi32` in float32, within
     1e-6 max(1, |h|) of the float64 GELU. The forward runs both layers
-    through `_affine` and writes GELU into the hidden buffer. When recording,
-    the node keeps only x: backward recomputes h = x W1 + b1, then GELU's
-    slope cdf(h) + h pdf(h) for dh and its value, in h's buffer, for dW2
-    (Chen et al. 2016); `_affine_grads` forms both layers' gradients.
-    Backward reads the weights as they are when it runs: it must precede an
-    in-place update.
+    through `_affine` and writes GELU into the hidden buffer, so a non-finite
+    h reaches the checked output. When recording, the node keeps only x:
+    backward recomputes h with the forward's `_affine`, then GELU's slope
+    cdf(h) + h pdf(h) for dh and its value, in h's buffer, for dW2 (Chen et
+    al. 2016); `_affine_grads` forms both layers' gradients. Backward reads
+    the weights as they are when it runs: it must precede an in-place update.
     """
     if (x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[-1]
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
         raise DimensionError(f"feed_forward on x [*, d] needs w1 [d, h], b1 [h], w2 [h, m] and b2 [m], got x "
                              f"{x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and b2 {b2.shape}")
     xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
-    h = _affine(x, w1, b1d)
+    h = _affine(xd, w1d, b1d)
     hf = h.reshape(-1)
     hf *= _gelu_cdf(hf)
-    out = _affine(h, w2, b2.data)
+    out = _affine(h, w2d, b2.data)
 
     def bwd(g):
-        h = xd.reshape(-1, xd.shape[-1]) @ w1d
-        h += b1d
+        h = _affine(xd, w1d, b1d)
         hf = h.reshape(-1)
         cdf = _gelu_cdf(hf)
         slope = _gelu_slope(hf, cdf, np.empty_like(hf)).reshape(h.shape)

@@ -270,8 +270,9 @@ def mul(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, like=a)
 
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+    def bwd(g):  # only an operand that requires grad gets one, as in `matmul`
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return apply_op(_fit(np.multiply, a.data, b.data), (a, b), bwd)
 
@@ -281,8 +282,8 @@ def div(a, b) -> Tensor:
     b = as_tensor(b, like=a)
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
         return ga, gb
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -374,7 +375,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b for rank >= 2 operands, batched over the leading axes, which broadcast; a broadcast operand's gradient
-    is summed back down. Only an operand that requires grad gets one. `layers._affine` folds x W into one GEMM."""
+    is summed back down. Only an operand that requires grad gets one."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:  # np.matmul takes vectors; the backward rule does not
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
@@ -471,6 +472,7 @@ def backward(loss: Tensor):
                     f"non-finite gradient produced by backward op {node.backward_fn.__qualname__}"
                     f" (leaf shape {parent.shape}, dtype {parent.dtype})"
                 )
+        gi = acc = None  # so the last gradient is not held while the next rule runs
 
 
 # -- gradient checking ---------------------------------------------------------

@@ -779,7 +779,7 @@ class TestScaledDotAttention:
 
         def recording_matmul(a, b):
             out = matmul(a, b)
-            outputs.append(weakref.ref(out.data))
+            outputs.append(weakref.ref(out))
             return out
 
         monkeypatch.setattr(L, "matmul", recording_matmul)
@@ -971,16 +971,6 @@ class TestSublayerNodes:
         for res in grad_check(lambda *a: (node(*a) * coeff).sum(), leaves, tol=1e-6):
             assert res.passed, res
 
-    def test_attention_grad_check_across_chunk_edge(self, monkeypatch):
-        heads = 2
-        leaves, node, _ = sublayer_case("multi_head_attention", np.random.default_rng(82), np.float64,
-                                        shape=(5, 3, 2 * heads), heads=heads)
-        bound_for_chunk(monkeypatch, 3, 8, 2 * heads)
-        assert L._score_chunks(np.empty((5, heads, 3, 2))) == [slice(0, 2), slice(2, 4), slice(4, 5)]
-        coeff = np.random.default_rng(83).normal(size=(5, 3, 2 * heads))
-        for res in grad_check(lambda *a: (node(*a) * coeff).sum(), leaves, tol=1e-6):
-            assert res.passed, res
-
     @pytest.mark.parametrize("name", SUBLAYERS)
     def test_float32_matches_composed(self, name):
         leaves, node, reference = sublayer_case(name, np.random.default_rng(84), np.float32, shape=(3, 7, 16))
@@ -1015,6 +1005,55 @@ class TestSublayerNodes:
         out, retained, _ = traced_bytes(forward)
         assert out._node is None
         assert retained <= 1.01 * out.data.nbytes, retained / out.data.nbytes
+
+
+def node_case(name, rng, dtype=np.float32):
+    """Leaves requiring grad and the node, a function of them, for `linear` and the two sublayers."""
+    if name != "linear":
+        return sublayer_case(name, rng, dtype)[:2]
+    return [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in ((2, 5, 8), (8, 3), (3,))], L.linear
+
+
+class TestNodeNumerics:
+    """A node's forward computes on arrays, and a non-finite value inside it raises naming the node."""
+
+    def test_lone_negative_infinite_score_raises(self):
+        # q_0 . k_1 = 1e20 * -1e20 overflows float32 to -inf, and every other score is 0: softmax would give
+        # that key weight 0, and with v = 0 the output would be finite
+        x = Tensor(np.array([[[0.0, 1e20], [-1e20, 0.0]]], np.float32))
+        p = mha_params(2, dtype=np.float32, identity=True)
+        p.wq.data[:] = [[0, 0], [1, 0]]  # q_i = (x_i1, 0)
+        p.wk.data[:] = [[1, 0], [0, 0]]  # k_i = (x_i0, 0)
+        p.wv.data[:] = 0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError, match=r"multi_head_attention \(output shape \(1, 1, 2, 2\)"):
+            L.multi_head_attention(x, p, 1)
+
+    @pytest.mark.parametrize("name", ["linear", "feed_forward"])
+    def test_overflowing_product_names_the_node(self, name):
+        leaves, node = node_case(name, np.random.default_rng(90))
+        for t in leaves:
+            t.data[:] = np.abs(t.data) + 1.0
+        leaves[0].data *= 1e20
+        leaves[1].data *= 1e20  # the first product, x W or the hidden layer, is past float32's 3.4e38
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=name):
+            node(*leaves)
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
+    @pytest.mark.parametrize("name", ["linear", *SUBLAYERS])
+    def test_forward_builds_no_tensor_but_its_output(self, name, recorded, monkeypatch):
+        leaves, node = node_case(name, np.random.default_rng(91))
+        calls = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        with contextlib.nullcontext() if recorded else T.no_grad():
+            out = node(*leaves)
+        assert calls == [] and (out._node is not None) == recorded
 
 
 def encoder_params(d, rng, dtype=np.float64, zero_out=False):

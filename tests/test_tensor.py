@@ -371,6 +371,15 @@ class TestBroadcasting:
         backward((x * 3.0).sum())
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
+    @pytest.mark.parametrize("op", [T.mul, T.div], ids=["mul", "div"])
+    @pytest.mark.parametrize("const", [0, 1], ids=["a", "b"])
+    def test_constant_operand_gets_no_gradient(self, op, const):
+        rng = np.random.default_rng(5)
+        ops = [t64(rng.uniform(1, 2, size=shape), i != const) for i, shape in enumerate([(3, 4), (4,)])]
+        out = op(*ops)
+        grads = out._node.backward_fn(np.ones(out.shape))
+        assert grads[const] is None and grads[1 - const].shape == ops[1 - const].shape
+
 
 class TestShapeErrors:
     @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
